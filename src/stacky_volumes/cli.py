@@ -20,7 +20,7 @@ from . import lambdaring as lr
 from . import monoids as mo
 from . import ratfun as rf
 from . import stacky as st
-from .scalar import ExactScalar, HalfLConvention, parse_rat
+from .scalar import ExactScalar, HalfLConvention, factor, parse_rat
 
 COMMANDS = ("ehrhart", "volume", "bps", "delta", "plid-check", "plethystic")
 
@@ -44,6 +44,26 @@ def _require(params, key, types, what):
     if types and not isinstance(v, types):
         raise SchemaViolation(f"field {key!r} has wrong type for {what}")
     return v
+
+
+def _int(params, keys, default, minimum=1):
+    """The first of the fields `keys` present in params, which must be an
+    integer >= minimum; `default` when none is present."""
+    keys = (keys,) if isinstance(keys, str) else keys
+    key = next((k for k in keys if k in params), None)
+    if key is None:
+        return default
+    v = params[key]
+    if type(v) is not int or v < minimum:
+        raise SchemaViolation(f"field {key!r} must be an integer >= {minimum}")
+    return v
+
+
+def _prime_power(params) -> int:
+    q = _int(params, "q", 2, 2)
+    if len(factor(q)) != 1:
+        raise SchemaViolation("field 'q' must be a prime power")
+    return q
 
 
 def _parse_convention(params) -> HalfLConvention:
@@ -70,7 +90,7 @@ def _cmd_ehrhart(params):
         poly = eh.RationalPolytope(rows, rhs)
     delta = poly.vertex_denominator_lcm() if not poly.is_empty else 1
     big_d = poly.dim + 1
-    order = int(params.get("truncation") or delta * big_d + delta + 2)
+    order = _int(params, "truncation", delta * big_d + delta + 2)
     series = eh.ehrhart_series(poly, order)
     report = {
         "polytope": poly.to_json(),
@@ -91,7 +111,8 @@ def _cmd_volume(params):
     k = _require(params, "torusRank", int, "volume")
     finite = params.get("finiteOrders", [])
     weights = _require(params, "weights", list, "volume")
-    q = _require(params, "q", int, "volume")
+    _require(params, "q", None, "volume")
+    q = _prime_power(params)
     if not isinstance(finite, list) or not all(isinstance(d, int) for d in finite):
         raise SchemaViolation("finiteOrders must be a list of integers")
     if not all(isinstance(row, list) and all(isinstance(c, int) for c in row)
@@ -105,9 +126,10 @@ def _cmd_volume(params):
     if fbar not in ("one", "gerbe"):
         raise SchemaViolation("fbar must be 'one' or 'gerbe'")
     datum = st.ToricStackDatum(n, k, finite, weights, q, params.get("fiber", "origin"))
-    order = int(params.get("R") or params.get("truncation") or 12)
-    series = st.volume_series(datum, fbar, order)
-    fit = st.volume_fit(datum, fbar)
+    order = _int(params, ("R", "truncation"), 12)
+    # "gerbe" is an alias of "one": plain toric data carry no gerbe
+    series = st.volume_series(datum, order)
+    fit = st.volume_fit(datum)
     return {
         "coefficients": [_scalar_report(c, q) for c in series.coeffs],
         "fit": fit.to_json(),
@@ -120,9 +142,10 @@ def _cmd_bps(params):
         {"vertices": _require(params, "vertices", int, "bps"),
          "arrows": params.get("arrows", [])}
     )
-    q = _require(params, "q", int, "bps")
-    gamma_bound = int(params.get("gammaBound") or params.get("grade") or 4)
-    levels = int(params.get("levels") or 1)
+    _require(params, "q", None, "bps")
+    q = _prime_power(params)
+    gamma_bound = _int(params, ("gammaBound", "grade"), 4)
+    levels = _int(params, "levels", 1)
     conv = _parse_convention(params)
     result = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
     table = []
@@ -139,7 +162,7 @@ def _cmd_delta(params):
         m = _require(params, "m", int, "delta")
         s = _require(params, "s", int, "delta")
         region = eh.DeltaRegion(m, s)
-        r_max = int(params.get("r") or params.get("truncation") or 24)
+        r_max = _int(params, ("r", "truncation"), 24)
         modes = ("differences", "orbits")
         mode = params.get("mode") or params.get("delta_mode")
         if mode:
@@ -153,18 +176,15 @@ def _cmd_delta(params):
                 "limit": str(eh.delta_limit(region, md)),
             }
         return out
-    report = st.delta_report(
-        int(params.get("max_m") or 3),
-        int(params.get("max_s") or 3),
-        int(params.get("max_r") or 24),
+    return st.delta_report(
+        _int(params, "max_m", 3), _int(params, "max_s", 3), _int(params, "max_r", 24)
     )
-    return report
 
 
 def _cmd_plid_check(params):
-    grade = int(params.get("gradeBound") or params.get("grade") or 2)
-    levels = int(params.get("levelBound") or params.get("levels") or 2)
-    q = int(params.get("q") or 2)
+    grade = _int(params, ("gradeBound", "grade"), 2)
+    levels = _int(params, ("levelBound", "levels"), 2)
+    q = _prime_power(params)
     mode = params.get("delta_mode") or params.get("mode") or "differences"
     conv = _parse_convention(params)
     monoid = mo.LinearObjectsMonoid.vect(q, conv)
@@ -173,20 +193,29 @@ def _cmd_plid_check(params):
 
 
 def _cmd_plethystic(params):
-    rank = int(params.get("rank") or 1)
+    rank = _int(params, "rank", 1)
     op = _require(params, "op", str, "plethystic")
     if op not in ("sym", "log", "log_direct"):
         raise SchemaViolation("op must be sym|log|log_direct")
-    grade = int(params.get("grade") or 4)
-    levels = int(params.get("levels") or 1)
+    grade = _int(params, "grade", 4)
+    levels = _int(params, "levels", 1)
     lattice = mo.DiscreteLattice(rank)
     budget = grade * levels
     f = lr.CountingFunction(lattice, grade, budget)
     for entry in _require(params, "values", list, "plethystic"):
-        el = tuple(int(c) for c in entry["element"])
-        lev = int(entry["level"])
+        if not isinstance(entry, dict) or not {"element", "level", "value"} <= entry.keys():
+            raise SchemaViolation("each entry of 'values' needs element, level and value")
+        el = entry["element"]
+        if (not isinstance(el, list) or len(el) != rank
+                or not all(type(c) is int and c >= 0 for c in el)):
+            raise SchemaViolation(f"element {el!r} is not {rank} nonnegative integers")
+        lev = _int(entry, "level", None)
+        try:
+            value = ExactScalar.from_json(entry["value"])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise SchemaViolation(f"malformed value {entry['value']!r}: {exc}") from exc
         if lev <= budget:
-            f.set(el, lev, ExactScalar.from_json(entry["value"]))
+            f.set(tuple(el), lev, value)
     if op == "sym":
         result = lr.pleth_sym(f)
     else:

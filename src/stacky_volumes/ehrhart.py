@@ -318,7 +318,7 @@ def ehrhart_series(polytope: RationalPolytope, order: int) -> Series:
     return Series([count_dilation(polytope, r) for r in range(1, order + 1)])
 
 
-def ehrhart_limit(polytope: RationalPolytope, order: int | None = None) -> ExactScalar:
+def ehrhart_limit(polytope: RationalPolytope) -> ExactScalar:
     """Fit the dilated-count series and evaluate at T -> infinity.
 
     Equals -1 for every nonempty bounded rational polytope, 0 for the empty one.
@@ -327,8 +327,7 @@ def ehrhart_limit(polytope: RationalPolytope, order: int | None = None) -> Exact
         return ExactScalar.zero()
     delta = polytope.vertex_denominator_lcm()
     big_d = polytope.dim + 1
-    if order is None:
-        order = delta * big_d + delta + 2
+    order = delta * big_d + delta + 2
     fit = fit_rational(ehrhart_series(polytope, order), delta, big_d)
     return fit.limit_at_infinity()
 
@@ -370,24 +369,18 @@ class DeltaRegion:
     def __repr__(self):
         return f"DeltaRegion(m={self.m}, s={self.s})"
 
-    def grid(self, r: int):
-        """The r-torsion points of (0, 1/m] as fractions k/r."""
-        return [Fraction(k, r) for k in range(1, r // self.m + 1)]
-
-
-def _mod_interval(x: Fraction, m: int) -> Fraction:
-    """Reduce x into (0, 1/m] modulo 1/m."""
-    rem = x - Fraction(math.floor(x * m), m)
-    return rem if rem else Fraction(1, m)
-
 
 def delta_count(region: DeltaRegion, r: int, mode: str = "differences") -> int:
     """Count for the weight region at torsion order r.
 
     differences: tuples (d_1, ..., d_{s-1}) of positive multiples of 1/r with
     sum < 1/m (the consecutive-difference parametrization).
-    orbits: translation orbits on the r-torsion points of the region,
-    enumerated explicitly under the set-preserving translations by k/r.
+    orbits: orbits of s-subsets of the N = floor(r/m) r-torsion points of
+    (0, 1/m] under the translations by k/r modulo 1/m that preserve them.
+    When m does not divide r, one gap of the grid differs from the others, so
+    only the identity preserves it and the count is C(N, s).  When m | r the
+    translations form the cyclic group Z/N and Burnside's lemma gives the
+    necklace count (1/N) sum_k C(g, s g/N), g = gcd(k, N), over N | s g.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -397,51 +390,18 @@ def delta_count(region: DeltaRegion, r: int, mode: str = "differences") -> int:
         return math.comb(budget, s - 1) if budget >= s - 1 else 0
     if mode != "orbits":
         raise ValueError(f"unknown mode {mode!r}")
-    grid = region.grid(r)
-    if len(grid) < s:
-        return 0
-    grid_set = set(grid)
-    translations = []
-    for k in range(r):
-        t = Fraction(k, r)
-        if all(_mod_interval(w + t, m) in grid_set for w in grid):
-            translations.append(t)
-    if math.comb(len(grid), s) > 5000:
-        return _orbit_count_burnside(grid, translations, m, s)
-    subsets = [tuple(sorted(c)) for c in itertools.combinations(grid, s)]
-    seen = set()
-    orbits = 0
-    for sub in subsets:
-        if sub in seen:
-            continue
-        orbits += 1
-        for t in translations:
-            image = tuple(sorted(_mod_interval(w + t, m) for w in sub))
-            seen.add(image)
-    return orbits
-
-
-def _orbit_count_burnside(grid, translations, m: int, s: int) -> int:
-    """Average fixed s-subsets over the translation group.  Every translation
-    permutes the grid in cycles of one common length, so the fixed-subset
-    count is binomial."""
-    n = len(grid)
+    n = r // m
+    if r % m:
+        return math.comb(n, s)
     total = 0
-    for t in translations:
-        # order of the translation as a permutation of the grid
-        w0 = grid[0]
-        w = _mod_interval(w0 + t, m)
-        order = 1
-        while w != w0:
-            w = _mod_interval(w + t, m)
-            order += 1
-        if s % order == 0:
-            total += math.comb(n // order, s // order)
-    assert total % len(translations) == 0
-    return total // len(translations)
+    for k in range(n):
+        g = math.gcd(k, n)
+        if s * g % n == 0:
+            total += math.comb(g, s * g // n)
+    return total // n
 
 
-def delta_limit(region: DeltaRegion, mode: str = "differences", order: int | None = None) -> ExactScalar:
+def delta_limit(region: DeltaRegion, mode: str = "differences") -> ExactScalar:
     """Fit the per-r count series of the region and report its exact limit at
     T -> infinity, without forcing any expected value."""
     m, s = region.m, region.s
@@ -454,8 +414,7 @@ def delta_limit(region: DeltaRegion, mode: str = "differences", order: int | Non
     ]
     last_error = None
     for delta, big_d in ladder:
-        need = delta * big_d + delta + 2
-        r_max = max(order or 0, need)
+        r_max = delta * big_d + delta + 2
         series = Series([delta_count(region, r, mode) for r in range(1, r_max + 1)])
         try:
             return fit_rational(series, delta, big_d).limit_at_infinity()

@@ -16,9 +16,8 @@ by G (only psi_k with k <= G can contribute below grade bound G).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .scalar import ExactScalar
+from .scalar import ExactScalar, factor
 
 
 class LambdaRingError(Exception):
@@ -45,22 +44,9 @@ class NotFullSubmonoid(LambdaRingError):
     pass
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    fac = factor(n)
+    return 0 if any(a > 1 for _, a in fac) else (-1) ** len(fac)
 
 
 def _coerce(x) -> ExactScalar:
@@ -75,10 +61,6 @@ class VolumeElem:
 
     def __init__(self, levels):
         self.levels = [_coerce(c) for c in levels]
-
-    @staticmethod
-    def constant(c, n_levels: int) -> "VolumeElem":
-        return VolumeElem([_coerce(c)] * n_levels)
 
     @property
     def truncation(self) -> int:
@@ -316,13 +298,6 @@ def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
         for y, w in by_level.get(n, ()):
             if gx + mon.grade(y) <= f.grade_bound:
                 out._accumulate(mon.add(x, y), n, v * w)
-    return out
-
-
-def conv_power(f: CountingFunction, s: int) -> CountingFunction:
-    out = CountingFunction.unit(f.monoid, f.grade_bound, f.level_bound)
-    for _ in range(s):
-        out = convolve(out, f)
     return out
 
 

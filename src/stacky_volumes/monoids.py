@@ -85,13 +85,12 @@ class GradedGaloisMonoid:
 
     def add_fibers(self, x, n: int) -> list:
         """Ordered pairs of level-n fixed elements summing to x."""
-        return [(a, b) for a, b in self._pairs(x, n)]
-
-    def _pairs(self, x, n):
+        out = []
         for a in self.summands(x, n):
             b = self.sub(x, a)
             if b is not None and self.is_fixed(b, n):
-                yield a, b
+                out.append((a, b))
+        return out
 
     def summands(self, x, n: int) -> list:
         """All level-n fixed elements y with y <= x (componentwise/multiset)."""
@@ -422,13 +421,6 @@ class LinearObjectsMonoid(GradedGaloisMonoid):
             out = out * gl_order(a, n)
         return out
 
-    def aut_order_int(self, x, n: int) -> int:
-        qn = self.q**n
-        out = 1
-        for a in x:
-            out *= gl_order_int(a, qn)
-        return out
-
     def rep_space_order(self, x, n: int) -> ExactScalar:
         e = sum(c * x[i] * x[j] for (i, j), c in self.quiver.arrows.items())
         return q_power(n * e)
@@ -487,10 +479,6 @@ class GradingMorphism:
 
     def map(self, x):
         return (self.source.grade(x),)
-
-    def fibers(self, y, n: int):
-        g = y[0]
-        return [x for x in self.source.fixed_elements(n, g) if self.source.grade(x) == g]
 
 
 class AxisInclusion:

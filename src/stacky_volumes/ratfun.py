@@ -172,7 +172,3 @@ def fit_rational(series: Series, delta: int, big_d: int) -> RationalFunctionFit:
                 f"coefficient of T^{r} does not match the (delta={delta}, D={big_d}) ansatz"
             )
     return RationalFunctionFit(g[: top + 1], delta, big_d, r_max)
-
-
-def limit_at_infinity(fit: RationalFunctionFit) -> ExactScalar:
-    return fit.limit_at_infinity()

@@ -40,7 +40,9 @@ def parse_rat(s: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _factor(n: int) -> tuple[tuple[int, int], ...]:
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization ((p, a), ...) of n by trial division, p increasing;
+    () for n <= 1."""
     out = []
     d = 2
     while d * d <= n:
@@ -68,7 +70,7 @@ def _root_basis_expansion(a: Fraction) -> tuple[tuple[Fraction, int], ...]:
     d = a.denominator
     k = a.numerator
     parts = []
-    for p, ap in _factor(d):
+    for p, ap in factor(d):
         pp = p**ap
         j = (k * pow(d // pp, -1, pp)) % pp
         phi = pp - pp // p
@@ -329,10 +331,6 @@ class ExactScalar:
     @staticmethod
     def root_of_unity(a) -> "ExactScalar":
         c = CycNumber.root(a)
-        return ExactScalar({ZERO: c} if not c.is_zero() else {}, None, _normalized=True)
-
-    @staticmethod
-    def from_cyc(c: CycNumber) -> "ExactScalar":
         return ExactScalar({ZERO: c} if not c.is_zero() else {}, None, _normalized=True)
 
     # -- ring/field structure ------------------------------------------------
@@ -666,7 +664,3 @@ def half_l_level(n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactSca
 def half_l_power(j: int, n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactScalar:
     """(half Lefschetz class)^j at level n, j any integer."""
     return half_l_level(n, conv) ** j
-
-
-def eval_numeric(s: ExactScalar, q0) -> complex:
-    return s.eval_numeric(q0)

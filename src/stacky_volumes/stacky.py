@@ -25,12 +25,13 @@ import math
 from fractions import Fraction
 
 from .ehrhart import DeltaRegion, delta_count, positive_functional_exists
-from .lambdaring import CountingFunction, VolumeElem, pleth_log, pleth_sym, log_direct
+from .lambdaring import CountingFunction, VolumeElem, mobius, pleth_log, pleth_sym, log_direct
 from .ratfun import NoRationalFit, Series, fit_rational
 from .scalar import (
     DEFAULT_CONVENTION,
     ExactScalar,
     HalfLConvention,
+    factor,
     half_l_power,
     q_power,
     root_of_unity,
@@ -230,7 +231,7 @@ class GF:
         x_poly = ([0, 1] + [0] * (e - 2))[:e]
         if powx(e) != x_poly:
             return False
-        for l in {l for l, _ in _factor_int(e)}:
+        for l, _ in factor(e):
             diff = [(a - b) % p for a, b in zip(powx(e // l), x_poly)]
             if poly_gcd_deg(diff + [0], list(poly)) != 0:
                 return False
@@ -302,7 +303,7 @@ class GF:
 
     def _find_generator(self):
         order = self.size - 1
-        primes = [p for p, _ in _factor_int(order)]
+        primes = [p for p, _ in factor(order)]
         for g in range(2, self.size):
             if all(self.pow(g, order // p) != 1 for p in primes):
                 return g
@@ -322,25 +323,9 @@ class GF:
         return [x for x in range(self.size) if self.pow(x, sub_size) == x]
 
 
-def _factor_int(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _divisors(n: int):
     out = [1]
-    for p, a in _factor_int(n):
+    for p, a in factor(n):
         out = [d * p**k for d in out for k in range(a + 1)]
     return sorted(out)
 
@@ -369,11 +354,12 @@ class ToricStackDatum:
         self.weights = [list(map(int, row)) for row in weights]
         self.q = q
         self.fiber = fiber
+        self._coefficients = []  # volume_series coefficients, r = 1, 2, ...
         if len(self.weights) != self.k + self.l:
             raise ValueError("weight matrix must have torusRank + #finiteOrders rows")
         if any(len(row) != n for row in self.weights):
             raise ValueError("weight matrix must have n columns")
-        fac = _factor_int(q)
+        fac = factor(q)
         if len(fac) != 1:
             raise ValueError("q must be a prime power")
         self.p, self.e = fac[0]
@@ -388,9 +374,8 @@ class ToricStackDatum:
                 "the generic point has a nontrivial stabilizer"
             )
 
-    # stabilizer of a point with the given support, as the cokernel of the
-    # relation columns d_i e_{k+i} and chi_j (j in the support)
-    def _stab_invariants(self, support: frozenset):
+    # the relation columns d_i e_{k+i} and chi_j (j in the support)
+    def _relations(self, support: frozenset):
         cols = []
         for i, d in enumerate(self.finite_orders):
             col = [0] * (self.k + self.l)
@@ -398,7 +383,12 @@ class ToricStackDatum:
             cols.append(col)
         for j in sorted(support):
             cols.append([self.weights[r][j] for r in range(self.k + self.l)])
-        return smith_invariants(cols, self.k + self.l)
+        return cols
+
+    # stabilizer of a point with the given support, as the cokernel of its
+    # relation columns
+    def _stab_invariants(self, support: frozenset):
+        return smith_invariants(self._relations(support), self.k + self.l)
 
     def _in_fiber(self, support: frozenset) -> bool:
         if not support:
@@ -407,9 +397,6 @@ class ToricStackDatum:
             return False
         vectors = [[self.weights[r][j] for r in range(self.k)] for j in sorted(support)]
         return positive_functional_exists(vectors)
-
-    def _field(self) -> GF:
-        return GF(self.p, self.e)
 
     def fiber_orbits(self):
         """Orbit representatives and stabilizer data of G(F_q) acting on the
@@ -424,7 +411,7 @@ class ToricStackDatum:
             raise StackyError(
                 f"fibre enumeration over {self.q}^{self.n} points is out of reach"
             )
-        gf = self._field()
+        gf = GF(self.p, self.e)
         q = self.q
         g0 = gf.generator
         fiber_pts = []
@@ -471,16 +458,13 @@ class InertiaPoint:
     """One F_q-class of the cyclotomic inertia stack: an orbit representative
     together with a homomorphism from mu_r into its stabilizer."""
 
-    __slots__ = ("rep", "phi", "order", "weight", "alpha", "alpha_tilde",
-                 "_free_rank", "_finite_factors", "_q")
+    __slots__ = ("rep", "phi", "order", "weight", "_free_rank", "_finite_factors", "_q")
 
     def __init__(self, rep, phi, order, weight, free_rank, finite_factors, q):
         self.rep = rep
         self.phi = phi
         self.order = order
         self.weight = weight
-        self.alpha = Fraction(0)
-        self.alpha_tilde = Fraction(0)
         self._free_rank = free_rank
         self._finite_factors = finite_factors
         self._q = q
@@ -505,18 +489,21 @@ def _stab_homs(datum: ToricStackDatum, support: frozenset, r: int):
     kl = datum.k + datum.l
     if r**kl > 10**7:
         raise StackyError(f"too many candidate characters at r = {r}")
-    cols = []
-    for i, d in enumerate(datum.finite_orders):
-        col = [0] * kl
-        col[datum.k + i] = d
-        cols.append(col)
-    for j in sorted(support):
-        cols.append([datum.weights[row][j] for row in range(kl)])
+    cols = datum._relations(support)
     out = []
     for psi in itertools.product(range(r), repeat=kl):
         if all(sum(p * c for p, c in zip(psi, col)) % r == 0 for col in cols):
             out.append(psi)
     return out
+
+
+def _twist_weight(datum: ToricStackDatum, psi, r: int) -> Fraction:
+    """Weight of the twisted sector of the character psi of mu_r."""
+    w = -Fraction(datum.k)
+    for j in range(datum.n):
+        c = sum(psi[row] * datum.weights[row][j] for row in range(datum.k + datum.l)) % r
+        w += _rep01(Fraction(c, r))
+    return w
 
 
 def inertia_points(datum: ToricStackDatum, r: int):
@@ -534,33 +521,25 @@ def inertia_points(datum: ToricStackDatum, r: int):
         if supp not in homs_cache:
             homs_cache[supp] = _stab_homs(datum, supp, r)
         for psi in homs_cache[supp]:
-            w = -Fraction(datum.k)
-            for j in range(datum.n):
-                c = sum(psi[row] * datum.weights[row][j] for row in range(datum.k + datum.l)) % r
-                w += _rep01(Fraction(c, r))
+            w = _twist_weight(datum, psi, r)
             order = r // math.gcd(r, *([c for c in psi] or [0])) if any(psi) else 1
             out.append(InertiaPoint(rep, psi, order, w, free_rank, finite, datum.q))
     return out
 
 
-def _fbar_value(point: InertiaPoint, fbar: str) -> ExactScalar:
-    if fbar == "one":
-        return ExactScalar.one()
-    if fbar == "gerbe":
-        return root_of_unity(point.alpha_tilde)
-    raise ValueError(f"unknown admissible function {fbar!r}")
-
-
-def volume_series(datum: ToricStackDatum, fbar: str = "one", order: int = 12) -> Series:
+def volume_series(datum: ToricStackDatum, order: int = 12) -> Series:
     """Generating series: coefficient of T^r is the weighted mass of the
-    r-twisted points over the fibre, sum of fbar(y) q^{-w(y)} / |Aut(y)(F_q)|."""
-    coeffs = []
-    for r in range(1, order + 1):
+    r-twisted points over the fibre, sum of q^{-w(y)} / |Aut(y)(F_q)|.
+
+    Coefficients are kept on the datum, so every r is computed once however
+    many prefixes are asked for."""
+    coeffs = datum._coefficients
+    for r in range(len(coeffs) + 1, order + 1):
         acc = ExactScalar.zero()
         for pt in inertia_points(datum, r):
-            acc = acc + _fbar_value(pt, fbar) * q_power(-pt.weight) / pt.aut_order(1)
+            acc = acc + q_power(-pt.weight) / pt.aut_order(1)
         coeffs.append(acc)
-    return Series(coeffs)
+    return Series(coeffs[:order])
 
 
 def _stabilizer_exponent(datum: ToricStackDatum) -> int:
@@ -572,20 +551,19 @@ def _stabilizer_exponent(datum: ToricStackDatum) -> int:
     return out
 
 
-def volume_fit(datum: ToricStackDatum, fbar: str = "one",
-               delta_cap_factor: int = 16):
+def volume_fit(datum: ToricStackDatum):
     """Fit the twisted-point series as a rational function.
 
     The denominator exponent starts at the lcm of the stabilizer exponents and
-    doubles on fit failure up to the cap.
+    doubles on fit failure up to 16 times that.
     """
     delta0 = _stabilizer_exponent(datum)
     big_d = datum.k + datum.l + 1
     delta = delta0
     last = None
-    while delta <= delta0 * delta_cap_factor:
+    while delta <= delta0 * 16:
         order = delta * big_d + delta + 4
-        series = volume_series(datum, fbar, order)
+        series = volume_series(datum, order)
         try:
             return fit_rational(series, delta, big_d)
         except NoRationalFit as exc:
@@ -594,10 +572,9 @@ def volume_fit(datum: ToricStackDatum, fbar: str = "one",
     raise last
 
 
-def orbifold_volume(datum: ToricStackDatum, fbar: str = "one",
-                    delta_cap_factor: int = 16) -> ExactScalar:
+def orbifold_volume(datum: ToricStackDatum) -> ExactScalar:
     """Minus the limit at T -> infinity of the fitted twisted-point series."""
-    return -volume_fit(datum, fbar, delta_cap_factor).limit_at_infinity()
+    return -volume_fit(datum).limit_at_infinity()
 
 
 def dm_orbifold_sum(datum: ToricStackDatum) -> ExactScalar:
@@ -614,11 +591,7 @@ def dm_orbifold_sum(datum: ToricStackDatum) -> ExactScalar:
         # homomorphisms from the full profinite cyclic group = Hom(A, Q/Z),
         # enumerated at the exponent of A
         for psi in _stab_homs(datum, supp, exponent):
-            w = -Fraction(datum.k)
-            for j in range(datum.n):
-                c = sum(psi[row] * datum.weights[row][j]
-                        for row in range(datum.k + datum.l)) % exponent
-                w += _rep01(Fraction(c, exponent))
+            w = _twist_weight(datum, psi, exponent)
             aut = 1
             for f in finite:
                 aut *= math.gcd(f, datum.q - 1)
@@ -666,7 +639,9 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
     and a weight configuration in the region 0 < w_1 < ... < w_s <= 1/m; the
     per-class mass combines the gerbe root of unity e^{2 pi i d/m}, the sign
     from the modified gerbe function, exact q-powers from the weight function,
-    and centralizer orders |GL| over the level-nm field.
+    and centralizer orders |GL| over the level-nm field.  The gerbe roots
+    summed over d are the Ramanujan sum c_m(1) = mu(m), so only squarefree m
+    contribute.
     """
     _require_vect(monoid)
     conv = monoid.conv
@@ -678,10 +653,9 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
     for m in range(1, a + 1):
         if r % m or a % m:
             continue
-        gerbe_sum = ExactScalar.zero()
-        for d in range(1, m + 1):
-            if math.gcd(d, m) == 1:
-                gerbe_sum = gerbe_sum + root_of_unity(Fraction(d, m))
+        mu = mobius(m)
+        if mu == 0:
+            continue
         assert xx % (m * m) == 0
         sign = (-1) ** ((conv.b1 * xx // (m * m)) % 2)
         w = a // m
@@ -696,25 +670,17 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
                 for y in ys:
                     mass = mass / gl_order(y, n * m)
                 tuple_sum = tuple_sum + mass
-            total = total + tuple_sum * gerbe_sum * sign * Fraction(n_delta, m * s)
+            total = total + tuple_sum * Fraction(mu * sign * n_delta, m * s)
     return total * (q_power(n) - 1)
 
 
 def weighted_inertia_series(monoid: LinearObjectsMonoid, x, n: int, order: int,
-                            path: str = "parametrized",
                             mode: str = "differences") -> Series:
     """Series of weighted inertia masses of the rigidified automorphism group
     of x over the level-n field, r = 1..order."""
-    if path == "parametrized":
-        return Series(
-            [weighted_inertia_coefficient(monoid, x, n, r, mode) for r in range(1, order + 1)]
-        )
-    if path == "bruteforce":
-        return Series(
-            [weighted_inertia_coefficient_bruteforce(monoid, x, n, r)[0]
-             for r in range(1, order + 1)]
-        )
-    raise ValueError(f"unknown path {path!r}")
+    return Series(
+        [weighted_inertia_coefficient(monoid, x, n, r, mode) for r in range(1, order + 1)]
+    )
 
 
 class BruteForceClass:
@@ -742,7 +708,7 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
     _require_vect(monoid)
     conv = monoid.conv
     a = x[0] if isinstance(x, tuple) else int(x)
-    q, p, e0 = monoid.q, *_factor_int(monoid.q)[0]
+    q, p, e0 = monoid.q, *factor(monoid.q)[0]
     qn = q**n
     if (qn - 1) % r:
         raise ValueError(f"brute force needs r | q^n - 1; got r={r}, q^n={qn}")
@@ -777,7 +743,7 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
         dims = {}
         for c in range(r):
             lam = field.pow(zeta_r, c)
-            d = a - _mat_rank(field, _mat_sub_scalar(field, h, lam))
+            d = a - _row_reduce(field, _mat_sub_scalar(field, h, lam))[0]
             if d:
                 dims[c] = d
         assert sum(dims.values()) == a, "lift is not diagonalizable"
@@ -805,7 +771,7 @@ def _gl_matrices(field: GF, entries, a: int):
     out = []
     for flat in itertools.product(entries, repeat=a * a):
         m = tuple(tuple(flat[i * a + j] for j in range(a)) for i in range(a))
-        if _mat_rank(field, m) == a:
+        if _row_reduce(field, m)[0] == a:
             out.append(m)
     return out
 
@@ -874,7 +840,10 @@ def _mat_sub_scalar(field: GF, m, lam):
     )
 
 
-def _mat_rank(field: GF, m) -> int:
+def _row_reduce(field: GF, m):
+    """Gauss-Jordan elimination: (rank, reduced row echelon form).  On an
+    invertible a x a matrix augmented by the identity, the right half of the
+    result is the inverse."""
     rows = [list(r) for r in m]
     a = len(rows)
     cols = len(rows[0]) if rows else 0
@@ -894,32 +863,20 @@ def _mat_rank(field: GF, m) -> int:
                 rows[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
-    return rank
-
-
-def _mat_inv(field: GF, m):
-    a = len(m)
-    rows = [list(r) + [1 if i == j else 0 for j in range(a)] for i, r in enumerate(m)]
-    for col in range(a):
-        piv = next(i for i in range(col, a) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = field.inv(rows[col][col])
-        rows[col] = [field.mul(inv, c) for c in rows[col]]
-        for i in range(a):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(rows[i], rows[col])]
-    return tuple(tuple(row[a:]) for row in rows)
+    return rank, rows
 
 
 def _conjugacy_classes(field: GF, group, subset):
+    a = len(group[0])
+    identity = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
     remaining = set(subset)
     out = []
     while remaining:
         rep = min(remaining)
         orbit = set()
         for z in group:
-            zi = _mat_inv(field, z)
+            _, reduced = _row_reduce(field, [list(r) + e for r, e in zip(z, identity)])
+            zi = tuple(tuple(row[a:]) for row in reduced)
             conj = _projective_canon(field, _mat_mul(field, _mat_mul(field, z, rep), zi))
             orbit.add(conj)
         remaining -= orbit
@@ -958,7 +915,7 @@ def bps_counting_function(monoid: LinearObjectsMonoid, x, level_bound: int,
     sign = -((-1) ** ((conv.b2 * xx) % 2))
     levels = []
     for n in range(1, level_bound + 1):
-        series = weighted_inertia_series(monoid, (a,), n, order, "parametrized", mode)
+        series = weighted_inertia_series(monoid, (a,), n, order, mode)
         fit = fit_rational(series, delta, big_d)
         lim = fit.limit_at_infinity()
         levels.append(sign * half_l_power(-xx - 1, n, conv) * lim)
@@ -1104,8 +1061,7 @@ def verify_sym_roundtrip(quiver: Quiver, q: int, gamma_bound: int, level_bound: 
 # Delta-count report (both modes, fitted limits, and the consistency verdict).
 
 
-def delta_report(max_m: int = 3, max_s: int = 3, max_r: int = 24,
-                 check_q: int = 3, check_level: int = 1) -> dict:
+def delta_report(max_m: int = 3, max_s: int = 3, max_r: int = 24) -> dict:
     """Tabulate both counting modes of the weight regions with their fitted
     limits, and determine empirically which mode is consistent with the
     brute-force weighted inertia count and the plethystic identity."""
@@ -1130,19 +1086,18 @@ def delta_report(max_m: int = 3, max_s: int = 3, max_r: int = 24,
             )
     # (q, r) pairs with r | q - 1; r = 4 is the first spot where the two
     # counting modes disagree, so q = 5 discriminates
-    checks = [(check_q, 2), (5, 4)]
+    checks = []
+    for q_chk, r_chk in ((3, 2), (5, 4)):
+        mon = LinearObjectsMonoid.vect(q_chk)
+        brute, _ = weighted_inertia_coefficient_bruteforce(mon, (2,), 1, r_chk)
+        checks.append((mon, r_chk, brute.substitute_q(q_chk)))
     verdict = {}
     for mode in ("differences", "orbits"):
-        agree = True
-        for q_chk, r_chk in checks:
-            if (q_chk**check_level - 1) % r_chk:
-                continue
-            mon = LinearObjectsMonoid.vect(q_chk)
-            brute, _ = weighted_inertia_coefficient_bruteforce(mon, (2,), check_level, r_chk)
-            param = weighted_inertia_coefficient(mon, (2,), check_level, r_chk, mode)
-            if brute.substitute_q(q_chk) != param.substitute_q(q_chk):
-                agree = False
-        monoid = LinearObjectsMonoid.vect(check_q)
+        agree = all(
+            weighted_inertia_coefficient(mon, (2,), 1, r_chk, mode).substitute_q(mon.q) == brute
+            for mon, r_chk, brute in checks
+        )
+        monoid = LinearObjectsMonoid.vect(3)
         try:
             resid_zero = plethystic_identity_residual(monoid, 2, 1, mode).is_zero()
         except NoRationalFit:

@@ -78,7 +78,7 @@ def test_criterion_1_worked_volume_example():
         q = q_power(1)
         for qv in (3, 5, 7):
             datum = ToricStackDatum(2, 1, [], [[1, -1]], qv)
-            series = volume_series(datum, "one", 10)
+            series = volume_series(datum, 10)
             for r in range(1, 11):
                 expected = (2 * q_power(-1) + q_power(-1) / (q - 1)
                             + (r - 1) / (q - 1))

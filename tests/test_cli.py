@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stacky_volumes
 from stacky_volumes.cli import run
 
@@ -226,3 +228,73 @@ def test_plethystic_log_direct_matches_log(tmp_path):
         assert code == 0
         reports.append(report["values"])
     assert reports[0] == reports[1]
+
+
+def test_fbar_gerbe_trivial_on_plain_toric_data(tmp_path):
+    # "gerbe" is a documented alias of "one": plain toric data carry no gerbe
+    texts = []
+    for fbar in ("one", "gerbe"):
+        job = {"n": 2, "torusRank": 1, "finiteOrders": [], "weights": [[1, -1]],
+               "q": 3, "R": 5, "fbar": fbar}
+        path = tmp_path / f"{fbar}.json"
+        path.write_text(json.dumps(job))
+        out = tmp_path / f"{fbar}.out"
+        assert run(["volume", "--input", str(path), "--output", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+def run_error(tmp_path, capsys, command, params):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(params))
+    code = run([command, "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_missing_integer_fields_take_defaults(tmp_path):
+    code, report = run_cli(["bps"], tmp_path, {"vertices": 1, "q": 2})
+    assert code == 0
+    assert (report["gamma_bound"], report["levels"]) == (4, 1)
+
+
+@pytest.mark.parametrize("command, params, field", [
+    ("bps", {"vertices": 1, "q": 2, "levels": 0}, "levels"),
+    ("bps", {"vertices": 1, "q": 2, "gammaBound": "abc"}, "gammaBound"),
+    ("volume", {"n": 2, "torusRank": 1, "weights": [[1, -1]], "q": 3, "R": -2}, "R"),
+    ("plid-check", {"gradeBound": 2.5}, "gradeBound"),
+    ("delta", {"max_m": True}, "max_m"),
+])
+def test_bad_integer_field_exits_2(tmp_path, capsys, command, params, field):
+    code, err = run_error(tmp_path, capsys, command, params)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert repr(field) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, params", [
+    ("volume", {"n": 2, "torusRank": 1, "weights": [[1, -1]], "q": 6}),
+    ("bps", {"vertices": 1, "q": 6}),
+    ("plid-check", {"q": 6}),
+])
+def test_q_not_a_prime_power_exits_2(tmp_path, capsys, command, params):
+    code, err = run_error(tmp_path, capsys, command, params)
+    assert code == 2
+    assert "prime power" in err["error"]["message"]
+
+
+ONE = [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]
+
+
+@pytest.mark.parametrize("entry", [
+    {"level": 1, "value": ONE},
+    {"element": [1], "value": ONE},
+    {"element": [1], "level": 1},
+    {"element": [1, 0], "level": 1, "value": ONE},
+    {"element": [1], "level": 0, "value": ONE},
+    {"element": [1], "level": 1, "value": "one"},
+])
+def test_plethystic_bad_entry_exits_2(tmp_path, capsys, entry):
+    code, err = run_error(tmp_path, capsys, "plethystic",
+                          {"op": "sym", "rank": 1, "grade": 2, "values": [entry]})
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"

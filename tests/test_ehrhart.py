@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -178,13 +179,21 @@ def test_delta_count_differences_by_enumeration():
                 assert count == delta_count(DeltaRegion(m, s), r, "differences")
 
 
-def test_delta_count_orbits_by_enumeration():
-    # independent: orbit enumeration under all set-preserving translations
-    from stacky_volumes.ehrhart import _mod_interval
+def _mod_interval(x, m):
+    """Reduce x into (0, 1/m] modulo 1/m."""
+    rem = x - F(math.floor(x * m), m)
+    return rem if rem else F(1, m)
 
-    for m, s, r in [(1, 2, 4), (1, 2, 6), (2, 2, 8), (1, 3, 6), (3, 1, 7)]:
+
+def test_delta_count_orbits_by_enumeration():
+    # independent: orbit enumeration under all set-preserving translations.
+    # m does not divide r in (2, 2, 7), (2, 3, 9), (3, 2, 10), (4, 2, 11);
+    # (2, 3, 66) has C(33, 3) = 5456 subsets.
+    cases = [(1, 2, 4), (1, 2, 6), (2, 2, 8), (1, 3, 6), (3, 1, 7), (2, 2, 7),
+             (2, 3, 9), (3, 2, 10), (4, 2, 11), (2, 4, 16), (3, 3, 18), (2, 3, 66)]
+    for m, s, r in cases:
         region = DeltaRegion(m, s)
-        grid = region.grid(r)
+        grid = [F(k, r) for k in range(1, r // m + 1)]
         if len(grid) < s:
             assert delta_count(region, r, "orbits") == 0
             continue

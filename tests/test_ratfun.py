@@ -8,7 +8,6 @@ from stacky_volumes.ratfun import (
     RationalFunctionFit,
     Series,
     fit_rational,
-    limit_at_infinity,
 )
 from stacky_volumes.scalar import ExactScalar, q_power
 
@@ -115,7 +114,3 @@ def test_series_accessors():
         s.coeff(3)
     with pytest.raises(IndexError):
         s.coeff(0)
-
-
-def test_limit_module_function():
-    assert limit_at_infinity(fit_rational(Series([1] * 8), 1, 1)) == -1

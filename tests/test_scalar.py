@@ -6,7 +6,6 @@ import pytest
 from stacky_volumes.scalar import (
     ExactScalar,
     HalfLConvention,
-    eval_numeric,
     format_rat,
     half_l_level,
     parse_rat,
@@ -170,10 +169,6 @@ def test_hash_consistency():
     b = q_power(1) + 1
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_eval_numeric_module_function():
-    assert abs(eval_numeric(q_power(-1), 3) - 1 / 3) < 1e-12
 
 
 def test_pow_negative_exponent():
