@@ -67,27 +67,33 @@ def _prime_power(params) -> int:
 
 
 def _parse_convention(params) -> HalfLConvention:
-    raw = params.get("half_l", "1,1")
-    if isinstance(raw, str):
-        bits = raw.split(",")
-    else:
-        bits = list(raw)
-    if len(bits) != 2:
-        raise SchemaViolation("half_l must be two bits 'b1,b2'")
-    try:
-        return HalfLConvention(int(bits[0]), int(bits[1]))
-    except ValueError as exc:
-        raise SchemaViolation(str(exc)) from exc
+    bits = params.get("half_l", "1,1")
+    if isinstance(bits, str):
+        try:
+            bits = [int(b) for b in bits.split(",")]
+        except ValueError:
+            bits = None
+    if (not isinstance(bits, list) or len(bits) != 2
+            or not all(type(b) is int and b in (0, 1) for b in bits)):
+        raise SchemaViolation("half_l must be two bits 'b1,b2' or [b1, b2], each 0 or 1")
+    return HalfLConvention(*bits)
 
 
 def _cmd_ehrhart(params):
-    if "vertices" in params:
-        verts = [[parse_rat(str(c)) for c in v] for v in _require(params, "vertices", list, "ehrhart")]
-        poly = eh.RationalPolytope.from_vertices(verts)
-    else:
-        rows = [[parse_rat(str(c)) for c in row] for row in _require(params, "A", list, "ehrhart")]
-        rhs = [parse_rat(str(c)) for c in _require(params, "b", list, "ehrhart")]
-        poly = eh.RationalPolytope(rows, rhs)
+    key = "vertices" if "vertices" in params else "A"
+    rows = _require(params, key, list, "ehrhart")
+    rhs = _require(params, "b", list, "ehrhart") if key == "A" else []
+    if (not rows or not all(isinstance(v, list) and v and len(v) == len(rows[0]) for v in rows)
+            or (key == "A" and len(rhs) != len(rows))):
+        raise SchemaViolation(f"{key!r} must be a nonempty list of nonempty rows of one length"
+                              " ('A' with one entry of 'b' per row)")
+    try:
+        rows = [[parse_rat(str(c)) for c in v] for v in rows]
+        rhs = [parse_rat(str(c)) for c in rhs]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaViolation(f"malformed rational in {key!r} or 'b': {exc}") from exc
+    poly = (eh.RationalPolytope.from_vertices(rows) if key == "vertices"
+            else eh.RationalPolytope(rows, rhs))
     delta = poly.vertex_denominator_lcm() if not poly.is_empty else 1
     big_d = poly.dim + 1
     order = _int(params, "truncation", delta * big_d + delta + 2)
@@ -107,11 +113,12 @@ def _cmd_ehrhart(params):
 
 
 def _cmd_volume(params):
-    n = _require(params, "n", int, "volume")
-    k = _require(params, "torusRank", int, "volume")
+    for key in ("n", "torusRank", "q"):
+        _require(params, key, None, "volume")
+    n = _int(params, "n", None, 0)
+    k = _int(params, "torusRank", None, 0)
     finite = params.get("finiteOrders", [])
     weights = _require(params, "weights", list, "volume")
-    _require(params, "q", None, "volume")
     q = _prime_power(params)
     if not isinstance(finite, list) or not all(isinstance(d, int) for d in finite):
         raise SchemaViolation("finiteOrders must be a list of integers")
@@ -138,11 +145,18 @@ def _cmd_volume(params):
 
 
 def _cmd_bps(params):
-    quiver = mo.Quiver.from_json(
-        {"vertices": _require(params, "vertices", int, "bps"),
-         "arrows": params.get("arrows", [])}
-    )
-    _require(params, "q", None, "bps")
+    for key in ("vertices", "q"):
+        _require(params, key, None, "bps")
+    vertices = _int(params, "vertices", None)
+    arrows = params.get("arrows", [])
+    if not isinstance(arrows, list) or not all(
+            isinstance(a, list) and len(a) == 3 and all(type(c) is int for c in a)
+            and 0 <= a[0] < vertices and 0 <= a[1] < vertices and a[2] >= 0
+            for a in arrows):
+        raise SchemaViolation(
+            f"each arrow must be three integers [source, target, count] with "
+            f"source and target in 0..{vertices - 1} and count >= 0")
+    quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
     q = _prime_power(params)
     gamma_bound = _int(params, ("gammaBound", "grade"), 4)
     levels = _int(params, "levels", 1)
@@ -159,8 +173,9 @@ def _cmd_bps(params):
 
 def _cmd_delta(params):
     if "m" in params or "s" in params:
-        m = _require(params, "m", int, "delta")
-        s = _require(params, "s", int, "delta")
+        for key in ("m", "s"):
+            _require(params, key, None, "delta")
+        m, s = _int(params, "m", None), _int(params, "s", None)
         region = eh.DeltaRegion(m, s)
         r_max = _int(params, ("r", "truncation"), 24)
         modes = ("differences", "orbits")
@@ -186,6 +201,8 @@ def _cmd_plid_check(params):
     levels = _int(params, ("levelBound", "levels"), 2)
     q = _prime_power(params)
     mode = params.get("delta_mode") or params.get("mode") or "differences"
+    if mode not in ("differences", "orbits"):
+        raise SchemaViolation("mode must be differences|orbits")
     conv = _parse_convention(params)
     monoid = mo.LinearObjectsMonoid.vect(q, conv)
     report = st.plethystic_identity_residual(monoid, grade, levels, mode)

@@ -120,16 +120,21 @@ def smith_invariants(cols, rows: int):
 
 
 # ---------------------------------------------------------------------------
-# Small finite fields with table arithmetic.
+# Small finite fields by discrete logarithms.
 
 _GF_TABLE_CAP = 4096
 
 
 class GF:
-    """F_{p^e} with dense multiplication/addition tables (small fields only).
+    """F_{p^e} by discrete logarithms (small fields only).
 
     Elements are integers 0..p^e-1, base-p digit encoding of polynomials over
-    F_p reduced modulo a monic irreducible of degree e.
+    F_p modulo a monic primitive polynomial of degree e: the class of x
+    generates the unit group (for e = 1 the modulus is x + c, and x = -c is a
+    primitive root).  `exp[k]` is the k-th power of that generator, doubled
+    to length 2(p^e - 1) so that sums of two logarithms need no reduction;
+    `log` inverts it on the nonzero elements; `zech[k]` = log(1 + g^k), None
+    where 1 + g^k = 0.  Every operation is a lookup in these three tables.
     """
 
     def __init__(self, p: int, e: int):
@@ -139,195 +144,75 @@ class GF:
         self.p = p
         self.e = e
         self.size = size
-        self._modulus = self._find_irreducible(p, e)
-        self.add_table = [[0] * size for _ in range(size)]
-        self.mul_table = [[0] * size for _ in range(size)]
-        for x in range(size):
-            dx = self._digits(x)
-            for y in range(x, size):
-                dy = self._digits(y)
-                s = self._encode([(a + b) % p for a, b in zip(dx, dy)])
-                self.add_table[x][y] = self.add_table[y][x] = s
-                m = self._poly_mul(dx, dy)
-                self.mul_table[x][y] = self.mul_table[y][x] = self._encode(m)
-        self.neg_table = [self.scale(x, p - 1) for x in range(size)]
-        self.inv_table = [0] * size
-        for x in range(1, size):
-            for y in range(1, size):
-                if self.mul_table[x][y] == 1:
-                    self.inv_table[x] = y
-                    break
-        self.generator = self._find_generator()
-
-    @staticmethod
-    def _find_irreducible(p: int, e: int):
-        if e == 1:
-            return [0, 1]
-        # monic x^e + ... ; brute-force search by checking for roots and factors
+        order = size - 1
+        one = [1] + [0] * (e - 1)
+        # The first modulus under which x has order p^e - 1: then every
+        # nonzero class is a power of x, so the quotient ring is a field.
         for tail in itertools.product(range(p), repeat=e):
-            poly = list(tail) + [1]
-            if GF._is_irreducible(poly, p):
-                return poly
-        raise RuntimeError("no irreducible polynomial found")
-
-    @staticmethod
-    def _is_irreducible(poly, p: int) -> bool:
-        """Rabin test: x^(p^e) = x mod poly, and gcd(x^(p^(e/l)) - x, poly) = 1
-        for every prime l dividing e."""
-        e = len(poly) - 1
-
-        def mulmod(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
-            for i in range(len(out) - 1, e - 1, -1):
-                c = out[i]
-                if c:
-                    out[i] = 0
-                    for j in range(e):
-                        out[i - e + j] = (out[i - e + j] - c * poly[j]) % p
-            out = out[:e] + [0] * max(0, e - len(out))
-            return [c % p for c in out[:e]]
-
-        def powx(k):
-            cur = ([0, 1] + [0] * (e - 2))[:e]
-            for _ in range(k):
-                acc = [1] + [0] * (e - 1)
-                base = cur
-                exp = p
-                while exp:
-                    if exp & 1:
-                        acc = mulmod(acc, base)
-                    base = mulmod(base, base)
-                    exp >>= 1
-                cur = acc
-            return cur
-
-        def poly_gcd_deg(a, b):
-            a = [c % p for c in a]
-            b = [c % p for c in b]
-            while any(b):
-                while b and b[-1] == 0:
-                    b.pop()
-                if not b:
+            if not tail[0]:
+                continue
+            cycle = []
+            cur = one
+            while True:
+                cycle.append(cur)
+                top = cur[-1]
+                cur = [(c - top * t) % p for c, t in zip([0] + cur[:-1], tail)]
+                if cur == one:
                     break
-                inv = pow(b[-1], -1, p)
-                while True:
-                    while a and a[-1] == 0:
-                        a.pop()
-                    if len(a) < len(b):
-                        break
-                    f = (a[-1] * inv) % p
-                    shift = len(a) - len(b)
-                    for i, c in enumerate(b):
-                        a[i + shift] = (a[i + shift] - f * c) % p
-                a, b = b, a
-            while a and a[-1] == 0:
-                a.pop()
-            return len(a) - 1 if a else -1
-
-        x_poly = ([0, 1] + [0] * (e - 2))[:e]
-        if powx(e) != x_poly:
-            return False
-        for l, _ in factor(e):
-            diff = [(a - b) % p for a, b in zip(powx(e // l), x_poly)]
-            if poly_gcd_deg(diff + [0], list(poly)) != 0:
-                return False
-        return True
-
-    def _digits(self, x: int):
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _encode(self, digits):
-        out = 0
-        for d in reversed(digits[: self.e]):
-            out = out * self.p + (d % self.p)
-        return out
-
-    def _poly_mul(self, dx, dy):
-        p = self.p
-        out = [0] * (2 * self.e - 1)
-        for i, a in enumerate(dx):
-            if a:
-                for j, b in enumerate(dy):
-                    out[i + j] = (out[i + j] + a * b) % p
-        for i in range(len(out) - 1, self.e - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(self.e):
-                    out[i - self.e + j] = (out[i - self.e + j] - c * self._modulus[j]) % p
-        return out[: self.e]
+            if len(cycle) == order:
+                break
+        powers = [sum(d * p**i for i, d in enumerate(c)) for c in cycle]
+        self.exp = powers + powers
+        self.log = [None] * size
+        for k, x in enumerate(powers):
+            self.log[x] = k
+        # adding 1 is adding 1 to the lowest digit; log[0] is None
+        self.zech = [self.log[x - x % p + (x + 1) % p] for x in powers]
+        self.generator = self.exp[1]
 
     def add(self, x, y):
-        return self.add_table[x][y]
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = self.log[x]
+        # a negative index wraps around, i.e. is taken mod p^e - 1
+        z = self.zech[self.log[y] - lx]
+        return 0 if z is None else self.exp[lx + z]
 
     def sub(self, x, y):
-        return self.add_table[x][self.neg_table[y]]
+        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        return self.mul_table[x][y]
+        if not x or not y:
+            return 0
+        return self.exp[self.log[x] + self.log[y]]
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError
-        return self.inv_table[x]
+        return self.exp[self.size - 1 - self.log[x]]
 
     def neg(self, x):
-        return self.neg_table[x]
-
-    def scale(self, x, k: int):
-        out = 0
-        k %= self.p
-        for _ in range(k):
-            out = self.add_table[out][x]
-        return out
+        if not x or self.p == 2:
+            return x
+        return self.exp[self.log[x] + (self.size - 1) // 2]
 
     def pow(self, x, k: int):
-        if k < 0:
-            return self.pow(self.inv(x), -k)
-        out = 1
-        base = x
-        while k:
-            if k & 1:
-                out = self.mul_table[out][base]
-            base = self.mul_table[base][base]
-            k >>= 1
-        return out
-
-    def _find_generator(self):
-        order = self.size - 1
-        primes = [p for p, _ in factor(order)]
-        for g in range(2, self.size):
-            if all(self.pow(g, order // p) != 1 for p in primes):
-                return g
-        return 1
+        if x == 0:
+            if k < 0:
+                raise ZeroDivisionError
+            return 1 if k == 0 else 0
+        return self.exp[self.log[x] * k % (self.size - 1)]
 
     def mult_order(self, x) -> int:
         if x == 0:
             raise ValueError
-        order = self.size - 1
-        for d in sorted(_divisors(order)):
-            if self.pow(x, d) == 1:
-                return d
-        raise RuntimeError
+        return (self.size - 1) // math.gcd(self.log[x], self.size - 1)
 
     def subfield_elements(self, sub_size: int):
         """Elements fixed by x -> x^sub_size (the subfield of that size)."""
         return [x for x in range(self.size) if self.pow(x, sub_size) == x]
-
-
-def _divisors(n: int):
-    out = [1]
-    for p, a in factor(n):
-        out = [d * p**k for d in out for k in range(a + 1)]
-    return sorted(out)
 
 
 def _rep01(a: Fraction) -> Fraction:
@@ -735,7 +620,7 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
 
     total = ExactScalar.zero()
     infos = []
-    for rep, _size in classes:
+    for rep, size in classes:
         c_scalar = _mat_pow(field, rep, r)[0][0]
         s = next(t for t in range(field.size) if t and field.pow(t, r) == field.inv(c_scalar))
         h = _mat_scale(field, rep, s)
@@ -758,7 +643,9 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
         o_alpha = alpha.denominator if alpha else 1
         assert xx % (o_alpha * o_alpha) == 0, "gerbe order squared must divide the pairing"
         sign = (-1) ** ((conv.b1 * xx // (o_alpha * o_alpha)) % 2)
-        cent = _projective_centralizer_order(field, proj, rep)
+        # orbit-stabilizer: the centralizer is the stabilizer of rep under
+        # conjugation, so |PGL| = |class| * |centralizer|
+        cent = len(proj) // size
         mass = (
             root_of_unity(alpha) * sign * q_power(-n * w) / cent
         )
@@ -882,16 +769,6 @@ def _conjugacy_classes(field: GF, group, subset):
         remaining -= orbit
         out.append((rep, len(orbit)))
     return out
-
-
-def _projective_centralizer_order(field: GF, group, g) -> int:
-    count = 0
-    for z in group:
-        zg = _mat_mul(field, z, g)
-        gz = _mat_mul(field, g, z)
-        if _projective_canon(field, zg) == _projective_canon(field, gz):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

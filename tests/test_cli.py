@@ -263,6 +263,14 @@ def test_missing_integer_fields_take_defaults(tmp_path):
     ("volume", {"n": 2, "torusRank": 1, "weights": [[1, -1]], "q": 3, "R": -2}, "R"),
     ("plid-check", {"gradeBound": 2.5}, "gradeBound"),
     ("delta", {"max_m": True}, "max_m"),
+    ("delta", {"m": 0, "s": 1}, "m"),
+    ("delta", {"m": True, "s": 1}, "m"),
+    ("delta", {"m": 1, "s": 0}, "s"),
+    ("volume", {"n": 1, "torusRank": -1, "finiteOrders": [2, 2], "weights": [[1]], "q": 3},
+     "torusRank"),
+    ("volume", {"n": -1, "torusRank": 1, "weights": [[1, -1]], "q": 3}, "n"),
+    ("volume", {"n": 2.0, "torusRank": 1, "weights": [[1, -1]], "q": 3}, "n"),
+    ("bps", {"vertices": 0, "q": 2}, "vertices"),
 ])
 def test_bad_integer_field_exits_2(tmp_path, capsys, command, params, field):
     code, err = run_error(tmp_path, capsys, command, params)
@@ -280,6 +288,27 @@ def test_q_not_a_prime_power_exits_2(tmp_path, capsys, command, params):
     code, err = run_error(tmp_path, capsys, command, params)
     assert code == 2
     assert "prime power" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, params, field", [
+    ("delta", {"m": 1}, "'s'"),
+    ("volume", {"n": 2, "weights": [[1, -1]], "q": 3}, "'torusRank'"),
+    ("bps", {"q": 2}, "'vertices'"),
+    ("ehrhart", {"vertices": []}, "'vertices'"),
+    ("ehrhart", {"vertices": [["0"], ["1", "2"]]}, "'vertices'"),
+    ("ehrhart", {"A": [["1"]], "b": []}, "'A'"),
+    ("plid-check", {"mode": "both"}, "mode"),
+    ("bps", {"vertices": 1, "q": 2, "arrows": [[0, 0]]}, "arrow"),
+    ("bps", {"vertices": 1, "q": 2, "arrows": [[0, 0, "1"]]}, "arrow"),
+    ("bps", {"vertices": 1, "q": 2, "arrows": [[0, 1, 1]]}, "arrow"),
+    ("bps", {"vertices": 1, "q": 2, "half_l": [1, 1.5]}, "half_l"),
+    ("bps", {"vertices": 1, "q": 2, "half_l": 5}, "half_l"),
+])
+def test_missing_or_malformed_field_exits_2(tmp_path, capsys, command, params, field):
+    code, err = run_error(tmp_path, capsys, command, params)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert field in err["error"]["message"]
 
 
 ONE = [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from helpers import oracle_one_loop_omega, oracle_zero_arrow_omega
 
 from stacky_volumes.monoids import LinearObjectsMonoid, Quiver
-from stacky_volumes.scalar import ExactScalar, half_l_level, q_power
+from stacky_volumes.scalar import ExactScalar, factor, half_l_level, q_power
 from stacky_volumes.stacky import (
     GF,
+    BruteForceTooLarge,
     NonSplitFiniteGroup,
     NotGenericallyRepresentable,
     ToricStackDatum,
@@ -61,6 +63,52 @@ def test_gf_arithmetic():
     f16 = GF(2, 4)
     assert len(f16.subfield_elements(4)) == 4
     assert f16.mult_order(f16.generator) == 15
+
+
+def _digitwise_sum(x, y, p):
+    """Oracle for GF.add: polynomials over F_p add coefficient by coefficient."""
+    out, place = 0, 1
+    while x or y:
+        out += (x + y) % p * place
+        x, y, place = x // p, y // p, place * p
+    return out
+
+
+SMALL_FIELDS = [(p, e) for p in range(2, 257) if all(p % d for d in range(2, p))
+                for e in range(1, 9) if p**e <= 256]
+
+
+@pytest.mark.parametrize("p, e", SMALL_FIELDS + [(2, 12)])
+def test_gf_is_a_field(p, e):
+    f = GF(p, e)
+    order = f.size - 1
+    assert f.size == p**e
+    # exp and log are inverse bijections between Z/(p^e - 1) and the units
+    assert sorted(f.exp[:order]) == list(range(1, f.size))
+    assert all(f.log[f.exp[k]] == k for k in range(order))
+    assert f.mult_order(f.generator) == order
+    for x in range(1, f.size):
+        assert f.mul(x, f.inv(x)) == 1
+    rng = random.Random(p**e)
+    triples = [tuple(rng.randrange(f.size) for _ in range(3)) for _ in range(300)]
+    for x, y, z in triples + [(0, 0, 0), (0, 1, order), (1, f.neg(1), 0)]:
+        assert f.add(x, y) == _digitwise_sum(x, y, p)
+        assert f.add(f.sub(x, y), y) == x
+        assert f.add(x, f.neg(x)) == 0
+        assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+        # the Frobenius x -> x^p is additive
+        assert f.pow(f.add(x, y), p) == f.add(f.pow(x, p), f.pow(y, p))
+        if x:
+            k = f.mult_order(x)
+            assert f.pow(x, k) == 1 and all(f.pow(x, k // l) != 1 for l, _ in factor(k))
+    for d in range(1, e + 1):
+        if e % d == 0:
+            assert len(f.subfield_elements(p**d)) == p**d
+
+
+def test_gf_above_the_table_cap():
+    with pytest.raises(BruteForceTooLarge):
+        GF(3, 8)
 
 
 # ---------------------------------------------------------------------------
