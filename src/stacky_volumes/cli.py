@@ -120,9 +120,9 @@ def _cmd_volume(params):
     finite = params.get("finiteOrders", [])
     weights = _require(params, "weights", list, "volume")
     q = _prime_power(params)
-    if not isinstance(finite, list) or not all(isinstance(d, int) for d in finite):
+    if not isinstance(finite, list) or not all(type(d) is int for d in finite):
         raise SchemaViolation("finiteOrders must be a list of integers")
-    if not all(isinstance(row, list) and all(isinstance(c, int) for c in row)
+    if not all(isinstance(row, list) and all(type(c) is int for c in row)
                for row in weights):
         raise SchemaViolation("weights must be a matrix of integers")
     if len(weights) != k + len(finite) or any(len(row) != n for row in weights):
@@ -179,7 +179,7 @@ def _cmd_delta(params):
         region = eh.DeltaRegion(m, s)
         r_max = _int(params, ("r", "truncation"), 24)
         modes = ("differences", "orbits")
-        mode = params.get("mode") or params.get("delta_mode")
+        mode = params.get("delta_mode") or params.get("mode")
         if mode:
             if mode not in modes:
                 raise SchemaViolation("mode must be differences|orbits")

@@ -287,6 +287,88 @@ def _poly_gcd(a: dict[int, CycNumber], b: dict[int, CycNumber]) -> dict[int, Cyc
     return {e: c * lc for e, c in a.items()}
 
 
+def _zz_primitive(p: dict[int, CycNumber]):
+    """(f, s) with p = s * f, f a primitive integer coefficient list in
+    ascending degree and s rational; None when p has a cyclotomic coefficient."""
+    if not all(c.is_rational() for c in p.values()):
+        return None
+    cs = {e: c.terms[ZERO] for e, c in p.items()}
+    den = math.lcm(*(c.denominator for c in cs.values()))
+    f = [0] * (max(p) + 1)
+    for e, c in cs.items():
+        f[e] = c.numerator * (den // c.denominator)
+    content = math.gcd(*f)
+    return [a // content for a in f], Fraction(content, den)
+
+
+def _zz_eval(f: list[int], x: int) -> int:
+    v = 0
+    for a in reversed(f):
+        v = v * x + a
+    return v
+
+
+def _zz_div(f: list[int], h: list[int]):
+    """f / h in Z[t], or None when h does not divide f."""
+    dh = len(h) - 1
+    r = list(f)
+    quo = [0] * (len(f) - dh)
+    for i in reversed(range(len(quo))):
+        c, m = divmod(r[i + dh], h[-1])
+        if m:
+            return None
+        if c:
+            quo[i] = c
+            for j, b in enumerate(h):
+                r[i + j] -= c * b
+    return None if any(r[:dh]) else quo
+
+
+def _zz_heugcd(f: list[int], g: list[int]):
+    """(h, f/h, g/h) for h = gcd(f, g) of primitive f, g in Z[t] by GCDHEU
+    (Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989)): for xi >= 2 min(|f|,
+    |g|) + 2, the primitive part of the balanced base-xi digits of
+    gcd(f(xi), g(xi)) is gcd(f, g) once it divides both.  None after six xi."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(6):
+        gamma = math.gcd(_zz_eval(f, xi), _zz_eval(g, xi))
+        h = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            h.append(d)
+            gamma = (gamma - d) // xi
+        content = math.gcd(*h)
+        h = [a // content for a in h]
+        if len(h) == 1:
+            return h, f, g
+        cf = _zz_div(f, h)
+        cg = None if cf is None else _zz_div(g, h)
+        if cg is not None:
+            return h, cf, cg
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zz_reduce(num: dict[int, CycNumber], den: dict[int, CycNumber]):
+    """num/den in lowest terms over Z[t] for rational coefficients; None when
+    a coefficient is cyclotomic or GCDHEU gives up.  Terms come back in the
+    order Euclid gives: unchanged when the gcd is 1, else descending."""
+    pn, pd = _zz_primitive(num), _zz_primitive(den)
+    res = pn and pd and _zz_heugcd(pn[0], pd[0])
+    if not res:
+        return None
+    h, cf, cg = res
+    if len(h) == 1:
+        return num, den
+    return _zz_dict(cf, pn[1] / pd[1]), _zz_dict(cg, ONE)
+
+
+def _zz_dict(f: list[int], scale: Fraction) -> dict[int, CycNumber]:
+    return {e: CycNumber({ZERO: scale * f[e]}) for e in reversed(range(len(f))) if f[e]}
+
+
 class ExactScalar:
     """Element of the field Q(roots of unity)(q^(1/N)), canonically normalized.
 
@@ -463,10 +545,6 @@ class ExactScalar:
             return self.num[ZERO].as_rational()
         raise ValueError(f"not a rational constant: {self}")
 
-    def q_exponents(self):
-        """Exponents of q appearing in the (normalized) numerator/denominator."""
-        return sorted(set(self.num) | set(self.den))
-
     def is_laurent(self) -> bool:
         """True when the denominator is trivial (value is a q-Laurent polynomial)."""
         return self._den_is_one()
@@ -528,8 +606,10 @@ def _normalize(num: dict, den: dict):
     vn, vd = min(ni), min(di)
     ni = {e - vn: c for e, c in ni.items()}
     di = {e - vd: c for e, c in di.items()}
-    g = _poly_gcd(ni, di)
-    if max(g) > 0:
+    reduced = _zz_reduce(ni, di)
+    if reduced:
+        ni, di = reduced
+    elif max(g := _poly_gcd(ni, di)) > 0:
         ni, r = _poly_divmod(ni, g)
         assert not r
         di, r = _poly_divmod(di, g)

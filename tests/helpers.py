@@ -1,18 +1,28 @@
-"""Shared test utilities: random scalars, random counting functions, and the
-independent truncated Euler-product oracle for quiver BPS invariants."""
+"""Shared test utilities: random scalars, random counting functions, the
+independent truncated Euler-product oracle for quiver BPS invariants, the
+Euclid-only scalar normal form, and evaluation at q^(1/2) = t0."""
 
+import itertools
+import math
 from fractions import Fraction
 
 from stacky_volumes.lambdaring import CountingFunction, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
+    ZERO,
+    CycNumber,
     ExactScalar,
+    _int_poly,
+    _poly_divmod,
+    _poly_gcd,
     half_l_level,
     half_l_power,
     q_power,
     root_of_unity,
 )
+
+_CYC_ONE = CycNumber.from_rational(1)
 
 
 def random_scalar(rng, with_roots=False) -> ExactScalar:
@@ -89,3 +99,56 @@ def oracle_one_loop_omega(a: int, level: int, conv=DEFAULT_CONVENTION) -> ExactS
         term = q_power(a * level) / (q_power(a * level) - 1)
         acc = acc + term * Fraction(mobius(m), a)
     return acc * (half_l_level(level, conv) - half_l_power(-1, level, conv))
+
+
+def euclid_normalize(num: dict, den: dict):
+    """The scalar normal form by Euclid over Q(zeta)[t] alone, as the kernel
+    computed it before its integer fast path: the oracle for
+    `scalar._normalize`, values and key order both."""
+    num = {e: c for e, c in num.items() if not c.is_zero()}
+    den = {e: c for e, c in den.items() if not c.is_zero()}
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return {}, {ZERO: _CYC_ONE}
+    if len(den) == 1:
+        (ed, cd), = den.items()
+        inv = cd.inv()
+        return {e - ed: c * inv for e, c in num.items()}, {ZERO: _CYC_ONE}
+    n = 1
+    for e in itertools.chain(num, den):
+        n = n * e.denominator // math.gcd(n, e.denominator)
+    ni = _int_poly(num, n)
+    di = _int_poly(den, n)
+    vn, vd = min(ni), min(di)
+    ni = {e - vn: c for e, c in ni.items()}
+    di = {e - vd: c for e, c in di.items()}
+    g = _poly_gcd(ni, di)
+    if max(g) > 0:
+        ni, r = _poly_divmod(ni, g)
+        assert not r
+        di, r = _poly_divmod(di, g)
+        assert not r
+    c0 = di[min(di)].inv()
+    shift = Fraction(vn - vd, n)
+    num_out = {Fraction(e, n) + shift: c * c0 for e, c in ni.items()}
+    den_out = {Fraction(e, n): c * c0 for e, c in di.items()}
+    return num_out, den_out
+
+
+def ev(x: ExactScalar, t0: int) -> ExactScalar:
+    """The image of x under the ring map q^(1/2) -> t0, an integer >= 2, as a
+    constant.  Raises ZeroDivisionError at a pole and ValueError when x has a
+    q-exponent outside (1/2)Z."""
+    def sub(p: dict) -> CycNumber:
+        acc = CycNumber()
+        for e, c in p.items():
+            if (2 * e).denominator != 1:
+                raise ValueError(f"q-exponent {e} is not a half-integer")
+            acc = acc + c.scale(Fraction(t0) ** int(2 * e))
+        return acc
+
+    d = sub(x.den)
+    if d.is_zero():
+        raise ZeroDivisionError(f"pole at q^(1/2) = {t0}")
+    return ExactScalar({ZERO: sub(x.num) * d.inv()})

@@ -215,7 +215,7 @@ def _uniform_half_shift(levels, conv_parity_guess=None):
             if not w.is_laurent():
                 ok = False
                 break
-            if any(e.denominator != 1 for e in w.q_exponents()):
+            if any(e.denominator != 1 for e in (*w.num, *w.den)):
                 ok = False
                 break
         if ok:

@@ -327,3 +327,22 @@ def test_plethystic_bad_entry_exits_2(tmp_path, capsys, entry):
                           {"op": "sym", "rank": 1, "grade": 2, "values": [entry]})
     assert code == 2
     assert err["error"]["kind"] == "SchemaViolation"
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"n": 1, "torusRank": 0, "finiteOrders": [True], "weights": [[1]], "q": 3},
+     "finiteOrders"),
+    ({"n": 2, "torusRank": 1, "weights": [[True, -1]], "q": 3}, "weights"),
+])
+def test_volume_boolean_entries_exit_2(tmp_path, capsys, params, field):
+    code, err = run_error(tmp_path, capsys, "volume", params)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert field in err["error"]["message"]
+
+
+def test_delta_mode_flag_overrides_file_mode(tmp_path):
+    code, report = run_cli(["delta", "--delta-mode", "orbits"], tmp_path,
+                           {"m": 1, "s": 2, "r": 4, "mode": "differences"})
+    assert code == 0
+    assert "orbits" in report and "differences" not in report

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from helpers import random_counting_function
+from helpers import ev, random_counting_function
 
 from stacky_volumes.lambdaring import (
     CountingFunction,
@@ -31,9 +33,11 @@ from stacky_volumes.monoids import (
     GradingMorphism,
     IdentityMorphism,
     LinearObjectsMonoid,
+    Quiver,
     affine_line_census,
 )
-from stacky_volumes.scalar import ExactScalar, q_power
+from stacky_volumes.scalar import ExactScalar, HalfLConvention, q_power
+from stacky_volumes.stacky import stacky_counting_function
 
 
 def test_mobius():
@@ -361,3 +365,58 @@ def test_truncation_bookkeeping():
     big = CountingFunction.unit(lat, 3, 12) + f
     assert pleth_log(big).level_bound == 4
     assert log_direct(big).level_bound == 4
+
+
+# -- evaluation at q^(1/2) = t0 commutes with the lambda-ring operations ------
+
+
+def _evaluated_stacky_function(monoid, grade_bound, level_bound, t0):
+    """The stacky counting function with q^(1/2) sent to t0, from integer
+    point counts: over the level-n field the half Lefschetz class is
+    s_n t0^n, where s_n = -1 exactly when n > 1 and b1 + b2 n is odd."""
+    conv, arrows = monoid.conv, monoid.quiver.arrows.items()
+
+    def value(x, n):
+        half = F(-t0 ** n if n > 1 and (conv.b1 + conv.b2 * n) % 2 else t0 ** n)
+        qn = t0 ** (2 * n)
+        loops = sum(c * x[i] * x[j] for (i, j), c in arrows)
+        aut = 1
+        for a in x:
+            aut *= qn ** (a * (a - 1) // 2)
+            for i in range(1, a + 1):
+                aut *= qn ** i - 1
+        return half ** (sum(a * a for a in x) - loops) * F(qn ** loops, aut)
+
+    return CountingFunction.from_callable(monoid, grade_bound, level_bound, value)
+
+
+@st.composite
+def _symmetric_quivers(draw):
+    vertices = draw(st.integers(1, 2))
+    arrows = [(i, i, draw(st.integers(0, 2))) for i in range(vertices)]
+    if vertices == 2:
+        c = draw(st.integers(0, 2))
+        arrows += [(0, 1, c), (1, 0, c)]
+    return Quiver(vertices, arrows)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(quiver=_symmetric_quivers(), t0=st.integers(2, 5),
+       bits=st.sampled_from([(1, 1), (0, 0), (1, 0), (0, 1)]),
+       grade=st.integers(1, 3), levels=st.integers(1, 2))
+def test_evaluation_commutes_with_pleth_log(quiver, t0, bits, grade, levels):
+    """ev(pleth_log F) = pleth_log(ev F) for the stacky counting function F of
+    a symmetric quiver, with ev F computed independently from integer counts."""
+    monoid = LinearObjectsMonoid(quiver, 2, HalfLConvention(*bits))
+    budget = grade * levels
+    f = stacky_counting_function(monoid, grade, budget)
+    f_ev = _evaluated_stacky_function(monoid, grade, budget, t0)
+    lg, lg_ev = pleth_log(f), pleth_log(f_ev)
+    try:
+        for x in monoid.fixed_elements(1, grade):
+            for n in range(1, budget + 1):
+                assert ev(f.value(x, n), t0) == f_ev.value(x, n)
+            for n in range(1, levels + 1):
+                assert ev(lg.value(x, n), t0) == lg_ev.value(x, n)
+    except ZeroDivisionError:
+        reject()

@@ -2,10 +2,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import euclid_normalize
+
+from stacky_volumes import scalar
 from stacky_volumes.scalar import (
+    CycNumber,
     ExactScalar,
     HalfLConvention,
+    _normalize,
+    _pmul,
     format_rat,
     half_l_level,
     parse_rat,
@@ -183,3 +192,118 @@ def test_substitute_q():
     # 9 q^(1/2) + 9/2: integer exponents substituted, half power stays formal
     assert w == 9 * q_power(F(1, 2)) + ExactScalar.from_rational(F(9, 2))
     assert abs(w.eval_numeric(3) - v.eval_numeric(3)) < 1e-10
+
+
+# -- the normal-form kernel against the Euclid oracle and sympy ---------------
+
+T = sympy.Symbol("t")
+
+
+def _qpoly(coeffs, n):
+    """{k: c} in t = q^(1/n) as a scalar polynomial {k/n: c}, keys in order."""
+    return {F(k, n): CycNumber.from_rational(c) for k, c in coeffs.items() if c}
+
+
+def _sympy(p, n):
+    """(f, v) with p = t^v f(t), f a sympy polynomial with f(0) != 0."""
+    terms = {int(e * n): sympy.Rational(c.as_rational()) for e, c in p.items()}
+    v = min(terms)
+    return sympy.Poly.from_dict({(k - v,): c for k, c in terms.items()}, T, domain="QQ"), v
+
+
+def _no_euclid(*_):
+    raise AssertionError("Euclid ran on rational coefficients")
+
+
+def _check_normal_form(num, den, n):
+    """_normalize(num, den) against the Euclid oracle (values and key order)
+    and against sympy's cancel (the same reduced fraction)."""
+    out = _normalize(num, den)
+    ref = euclid_normalize(num, den)
+    for got, want in zip(out, ref):
+        assert list(got.items()) == list(want.items())
+    (fn, vn), (fd, vd) = _sympy(num, n), _sympy(den, n)
+    (on, von), (od, vod) = _sympy(out[0], n), _sympy(out[1], n)
+    assert von - vod == vn - vd and vod == 0
+    assert on * fd == od * fn
+    p, q = fn.cancel(fd)[-2:]
+    assert (on.degree(), od.degree()) == (p.degree(), q.degree())
+    return out
+
+
+@st.composite
+def _rational_fractions(draw, n):
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)).filter(bool)
+    rat = st.builds(F, coeff, st.integers(1, 12))
+
+    def poly():
+        terms = draw(st.dictionaries(st.integers(-3, 3 * n), rat, min_size=1, max_size=5))
+        return _qpoly(terms, n)
+
+    num, den = poly(), poly()
+    for k in draw(st.lists(st.integers(1, 2 * n), max_size=3)):
+        shared = _qpoly({k: 1, 0: draw(st.sampled_from([-1, 1]))}, n)
+        num, den = _pmul(num, shared), _pmul(den, shared)
+    return num, den
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_normalize_matches_euclid_and_sympy(n, data):
+    num, den = data.draw(_rational_fractions(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_poly_gcd", _no_euclid)
+        _check_normal_form(num, den, n)
+
+
+def test_normalize_gcd_one_keeps_key_order(monkeypatch):
+    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    num = _qpoly({1: 3, 0: 10**7, 5: -2}, 2)
+    den = _qpoly({2: 1, 0: -2}, 2)
+    out_num, out_den = _check_normal_form(num, den, 2)
+    assert list(out_num) == [F(1, 2), 0, F(5, 2)]
+    assert list(out_den.items()) == list(_qpoly({2: F(-1, 2), 0: 1}, 2).items())
+
+
+def test_normalize_cancels_cyclotomic_gcd_large_coefficients(monkeypatch):
+    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    # t = q^(1/6); gcd = Phi_3(t) * Phi_4(t) * Phi_12(t)
+    a = _qpoly({0: -7, 1: 3, 2: 10**6}, 6)
+    b = _qpoly({3: 2, 0: -5 * 10**6 + 1}, 6)
+    g = _pmul(_pmul(_qpoly({2: 1, 1: 1, 0: 1}, 6), _qpoly({0: 1, 2: 1}, 6)),
+              _qpoly({4: 1, 2: -1, 0: 1}, 6))
+    out_num, out_den = _check_normal_form(_pmul(a, g), _pmul(b, g), 6)
+    assert list(out_num) == [F(2, 6), F(1, 6), 0]
+    assert list(out_den) == [F(3, 6), 0]
+    assert out_den[0] == CycNumber.from_rational(1)
+
+
+def test_normalize_huge_coefficients_and_shift(monkeypatch):
+    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    big = 10**40 + 7
+    g = _qpoly({0: -1, 3: 1}, 2)
+    num = _pmul(_qpoly({-1: big, 4: F(1, big)}, 2), g)
+    den = _pmul(_qpoly({1: 3, 2: -big}, 2), g)
+    _check_normal_form(num, den, 2)
+
+
+def test_normalize_cyclotomic_coefficients_use_euclid(monkeypatch):
+    calls = []
+    euclid = scalar._poly_gcd
+    monkeypatch.setattr(scalar, "_poly_gcd", lambda a, b: calls.append(1) or euclid(a, b))
+    one = CycNumber.from_rational(1)
+    # (q - zeta_3) / (q^2 - zeta_3^2) = 1 / (q + zeta_3)
+    num = {F(1): one, F(0): -CycNumber.root(F(1, 3))}
+    den = {F(2): one, F(0): -CycNumber.root(F(2, 3))}
+    out = _normalize(num, den)
+    assert calls
+    assert [list(p.items()) for p in out] == [
+        list(p.items()) for p in euclid_normalize(num, den)]
+    assert ExactScalar(num, den) == ExactScalar.one() / (q_power(1) + root_of_unity(F(1, 3)))
+
+
+def test_normalize_falls_back_to_euclid_when_gcdheu_gives_up(monkeypatch):
+    monkeypatch.setattr(scalar, "_zz_heugcd", lambda f, g: None)
+    g = _qpoly({0: 1, 1: 1, 2: 1}, 2)
+    _check_normal_form(_pmul(_qpoly({0: 5, 3: 1}, 2), g), _pmul(_qpoly({1: 2, 0: -3}, 2), g), 2)
