@@ -14,15 +14,19 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import ehrhart as eh
 from . import lambdaring as lr
 from . import monoids as mo
 from . import ratfun as rf
 from . import stacky as st
-from .scalar import ExactScalar, HalfLConvention, factor, parse_rat
+from .scalar import ExactScalar, HalfLConvention, factor
 
 COMMANDS = ("ehrhart", "volume", "bps", "delta", "plid-check", "plethystic")
+# q only sizes finite-field tables (capped far lower) and numeric display;
+# the bound keeps the trial-division prime-power check instant.
+_Q_MAX = 2**31
 
 
 class SchemaViolation(Exception):
@@ -61,6 +65,8 @@ def _int(params, keys, default, minimum=1):
 
 def _prime_power(params) -> int:
     q = _int(params, "q", 2, 2)
+    if q > _Q_MAX:
+        raise SchemaViolation(f"field 'q' must be at most 2^31 = {_Q_MAX}")
     if len(factor(q)) != 1:
         raise SchemaViolation("field 'q' must be a prime power")
     return q
@@ -88,8 +94,8 @@ def _cmd_ehrhart(params):
         raise SchemaViolation(f"{key!r} must be a nonempty list of nonempty rows of one length"
                               " ('A' with one entry of 'b' per row)")
     try:
-        rows = [[parse_rat(str(c)) for c in v] for v in rows]
-        rhs = [parse_rat(str(c)) for c in rhs]
+        rows = [[Fraction(str(c)) for c in v] for v in rows]
+        rhs = [Fraction(str(c)) for c in rhs]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaViolation(f"malformed rational in {key!r} or 'b': {exc}") from exc
     poly = (eh.RationalPolytope.from_vertices(rows) if key == "vertices"
@@ -120,8 +126,8 @@ def _cmd_volume(params):
     finite = params.get("finiteOrders", [])
     weights = _require(params, "weights", list, "volume")
     q = _prime_power(params)
-    if not isinstance(finite, list) or not all(type(d) is int for d in finite):
-        raise SchemaViolation("finiteOrders must be a list of integers")
+    if not isinstance(finite, list) or not all(type(d) is int and d >= 1 for d in finite):
+        raise SchemaViolation("field 'finiteOrders' must be a list of integers >= 1")
     if not all(isinstance(row, list) and all(type(c) is int for c in row)
                for row in weights):
         raise SchemaViolation("weights must be a matrix of integers")
@@ -132,7 +138,9 @@ def _cmd_volume(params):
     fbar = params.get("fbar", "one")
     if fbar not in ("one", "gerbe"):
         raise SchemaViolation("fbar must be 'one' or 'gerbe'")
-    datum = st.ToricStackDatum(n, k, finite, weights, q, params.get("fiber", "origin"))
+    if params.get("fiber", "origin") != "origin":
+        raise SchemaViolation("field 'fiber' must be 'origin', the only supported fibre")
+    datum = st.ToricStackDatum(n, k, finite, weights, q)
     order = _int(params, ("R", "truncation"), 12)
     # "gerbe" is an alias of "one": plain toric data carry no gerbe
     series = st.volume_series(datum, order)
@@ -229,7 +237,7 @@ def _cmd_plethystic(params):
         lev = _int(entry, "level", None)
         try:
             value = ExactScalar.from_json(entry["value"])
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(f"malformed value {entry['value']!r}: {exc}") from exc
         if lev <= budget:
             f.set(tuple(el), lev, value)

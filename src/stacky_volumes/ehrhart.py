@@ -195,10 +195,6 @@ class RationalPolytope:
         self.box = self._bounding_box()
 
     @staticmethod
-    def from_hrep(rows, rhs) -> "RationalPolytope":
-        return RationalPolytope(rows, rhs)
-
-    @staticmethod
     def from_vertices(vertices) -> "RationalPolytope":
         rows, rhs = hull_hrep(vertices)
         return RationalPolytope(rows, rhs, vertices=vertices)
@@ -227,23 +223,12 @@ class RationalPolytope:
             for j in range(self.dim)
         ]
 
-    def scaled(self, c) -> "RationalPolytope":
-        """The dilation c*P."""
-        c = Fraction(c)
-        return RationalPolytope(self.rows, [c * r for r in self.rhs])
-
     def vertex_denominator_lcm(self) -> int:
         out = 1
         for v in self.vertices:
             for x in v:
                 out = out * x.denominator // math.gcd(out, x.denominator)
         return out
-
-    def contains(self, point) -> bool:
-        p = [Fraction(c) for c in point]
-        return not self.is_empty and all(
-            sum(a * b for a, b in zip(row, p)) >= r for row, r in zip(self.rows, self.rhs)
-        )
 
     def to_json(self):
         from .scalar import format_rat

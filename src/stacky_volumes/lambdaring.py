@@ -1,12 +1,13 @@
-"""The level-indexed volume ring and the lambda-ring of counting functions on
-a graded monoid with Galois action.
+"""The lambda-ring of counting functions on a graded monoid with Galois
+action, and level-indexed values (VolumeElem) for per-level results.
 
 A counting function assigns to each pair (element x, level n) a scalar, zero
-unless x is fixed by the n-th Frobenius power.  Convolution sums over ordered
-pairs of fixed elements adding up to x; Adams operations sum over trace
-fibers; Sym/Log are the plethystic exponential and logarithm; log_direct
-evaluates the closed Moebius formula for Log by direct enumeration of trace
-tuples and serves as the module's internal cross-oracle for pleth_log.
+unless x is fixed by the n-th Frobenius power.  Convolution multiplies the
+level-n values of every pair of support elements into their sum; Adams psi_m
+moves each level-nm value to the trace Tr_{nm/n} of its element at level n;
+Sym/Log are the plethystic exponential and logarithm; log_direct evaluates
+the closed Moebius formula for Log by direct enumeration of trace tuples and
+serves as the module's internal cross-oracle for pleth_log.
 
 Truncation is two-dimensional: a level bound N and a total-grade bound G.
 Adams psi_m divides the level budget by m; Sym/Log and log_direct divide it
@@ -40,10 +41,6 @@ class NotSigmaFinite(LambdaRingError):
     pass
 
 
-class NotFullSubmonoid(LambdaRingError):
-    pass
-
-
 def mobius(n: int) -> int:
     fac = factor(n)
     return 0 if any(a > 1 for _, a in fac) else (-1) ** len(fac)
@@ -54,56 +51,17 @@ def _coerce(x) -> ExactScalar:
 
 
 class VolumeElem:
-    """Level-truncated element of the volume ring: one scalar per level n =
-    1..N, with Adams operations acting by index dilation."""
+    """Level-truncated values: one scalar per level n = 1..N."""
 
     __slots__ = ("levels",)
 
     def __init__(self, levels):
         self.levels = [_coerce(c) for c in levels]
 
-    @property
-    def truncation(self) -> int:
-        return len(self.levels)
-
     def get(self, n: int) -> ExactScalar:
         if not 1 <= n <= len(self.levels):
             raise TruncationExceeded(f"level {n} beyond truncation {len(self.levels)}")
         return self.levels[n - 1]
-
-    def adams(self, m: int) -> "VolumeElem":
-        if m < 1:
-            raise ValueError("Adams index must be positive")
-        n_out = len(self.levels) // m
-        if n_out < 1:
-            raise TruncationExceeded(f"psi_{m} exhausts the level budget {len(self.levels)}")
-        return VolumeElem([self.levels[m * n - 1] for n in range(1, n_out + 1)])
-
-    def _zip(self, other, op):
-        n = min(len(self.levels), len(other.levels))
-        return VolumeElem([op(a, b) for a, b in zip(self.levels[:n], other.levels[:n])])
-
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __mul__(self, other):
-        if isinstance(other, VolumeElem):
-            return self._zip(other, lambda a, b: a * b)
-        return VolumeElem([a * _coerce(other) for a in self.levels])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __eq__(self, other):
-        return isinstance(other, VolumeElem) and self.levels == other.levels
-
-    def __repr__(self):
-        return "VolumeElem[" + ", ".join(str(c) for c in self.levels) + "]"
-
-    def to_json(self):
-        return [c.to_json() for c in self.levels]
 
 
 class CountingFunction:
@@ -121,10 +79,6 @@ class CountingFunction:
             self.set(x, n, v)
 
     # -- construction ---------------------------------------------------------
-
-    @staticmethod
-    def zero_function(monoid, grade_bound, level_bound) -> "CountingFunction":
-        return CountingFunction(monoid, grade_bound, level_bound)
 
     @staticmethod
     def unit(monoid, grade_bound, level_bound) -> "CountingFunction":
@@ -245,16 +199,6 @@ class CountingFunction:
             out.set(x, n, v * c)
         return out
 
-    def pointwise_mul(self, other) -> "CountingFunction":
-        """The other multiplication (values multiplied place by place)."""
-        self._check_compatible(other)
-        out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
-        for x, n, v in self.support():
-            w = other.value(x, n)
-            if not w.is_zero():
-                out.set(x, n, v * w)
-        return out
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
@@ -357,7 +301,7 @@ def log_conv(big_f: CountingFunction) -> CountingFunction:
     """Convolution logarithm of a function with value 1 at zero."""
     _check_augmented_one(big_f)
     f = big_f - CountingFunction.unit(big_f.monoid, big_f.grade_bound, big_f.level_bound)
-    out = CountingFunction.zero_function(big_f.monoid, big_f.grade_bound, big_f.level_bound)
+    out = CountingFunction(big_f.monoid, big_f.grade_bound, big_f.level_bound)
     power = CountingFunction.unit(big_f.monoid, big_f.grade_bound, big_f.level_bound)
     for s in range(1, big_f.grade_bound + 1):
         power = convolve(power, f)
@@ -461,19 +405,4 @@ def pushforward(morphism, f: CountingFunction) -> CountingFunction:
     out = CountingFunction(morphism.target, f.grade_bound, f.level_bound)
     for x, n, v in f.support():
         out._accumulate(morphism.map(x), n, v)
-    return out
-
-
-def pullback(morphism, f: CountingFunction) -> CountingFunction:
-    """Compose with the morphism; requires an injective map onto a full
-    submonoid."""
-    if not getattr(morphism, "full_injective", False):
-        raise NotFullSubmonoid("pullback requires an injective map onto a full submonoid")
-    if f.monoid != morphism.target:
-        raise MonoidMismatch("function does not live on the morphism target")
-    out = CountingFunction(morphism.source, f.grade_bound, f.level_bound)
-    for x2, n, v in f.support():
-        x1 = morphism.preimage(x2)
-        if x1 is not None:
-            out._accumulate(x1, n, v)
     return out

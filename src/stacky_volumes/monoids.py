@@ -1,12 +1,12 @@
 """Concrete graded Galois monoids: discrete lattices, free orbit monoids built
 from a Frobenius orbit census, and dimension-vector monoids of linear objects
-(vector spaces, symmetric quiver representations) carrying automorphism
-orders and the symmetric Euler pairing.
+(vector spaces, symmetric quiver representations), which are discrete lattices
+carrying automorphism orders and the symmetric Euler pairing; plus the grading
+morphism that pushforward sums along.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -25,9 +25,8 @@ class NotSymmetric(MonoidError):
 class GradedGaloisMonoid:
     """Capability surface shared by all instantiations.
 
-    Elements are opaque handles owned by the monoid; any enumeration the
-    lambda-ring layer needs (fixed elements, addition fibers, trace fibers)
-    is delegated here.
+    Elements are opaque handles owned by the monoid; the lambda-ring layer
+    needs only addition, traces and the enumeration of fixed elements.
     """
 
     def zero(self):
@@ -43,10 +42,6 @@ class GradedGaloisMonoid:
         return sum(self.grading(x))
 
     def add(self, x, y):
-        raise NotImplementedError
-
-    def sub(self, x, y):
-        """x - y, or None when y does not divide into x."""
         raise NotImplementedError
 
     def frobenius(self, x):
@@ -72,52 +67,6 @@ class GradedGaloisMonoid:
             x = self.frobenius(x)
         return x
 
-    def trace_fibers(self, x, n: int, m: int) -> list:
-        """All level-nm fixed y with Tr_{nm/n}(y) = x."""
-        gx = self.grade(x)
-        if gx % m:
-            return []
-        return [
-            y
-            for y in self.fixed_elements(n * m, gx // m)
-            if self.grade(y) * m == gx and self.key(self.trace(y, n, m)) == self.key(x)
-        ]
-
-    def add_fibers(self, x, n: int) -> list:
-        """Ordered pairs of level-n fixed elements summing to x."""
-        out = []
-        for a in self.summands(x, n):
-            b = self.sub(x, a)
-            if b is not None and self.is_fixed(b, n):
-                out.append((a, b))
-        return out
-
-    def summands(self, x, n: int) -> list:
-        """All level-n fixed elements y with y <= x (componentwise/multiset)."""
-        raise NotImplementedError
-
-    def decompositions(self, x, n: int, s: int) -> list:
-        """All ordered s-tuples of level-n fixed elements summing to x
-        (zero parts allowed)."""
-        out = []
-
-        def rec(rest, chosen, slots):
-            if slots == 1:
-                if self.is_fixed(rest, n):
-                    out.append(tuple(chosen) + (rest,))
-                return
-            for y in self.summands(rest, n):
-                r = self.sub(rest, y)
-                chosen.append(y)
-                rec(r, chosen, slots - 1)
-                chosen.pop()
-
-        rec(x, [], s)
-        return out
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class DiscreteLattice(GradedGaloisMonoid):
     """N^rank with trivial Frobenius; counting functions are power series in
@@ -135,10 +84,6 @@ class DiscreteLattice(GradedGaloisMonoid):
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def sub(self, x, y):
-        out = tuple(a - b for a, b in zip(x, y))
-        return out if all(a >= 0 for a in out) else None
-
     def frobenius(self, x):
         return x
 
@@ -154,16 +99,8 @@ class DiscreteLattice(GradedGaloisMonoid):
     def trace(self, y, n, m):
         return tuple(m * a for a in y)
 
-    def trace_fibers(self, x, n, m):
-        if any(a % m for a in x):
-            return []
-        return [tuple(a // m for a in x)]
-
-    def summands(self, x, n):
-        return [tuple(c) for c in itertools.product(*(range(a + 1) for a in x))]
-
     def __eq__(self, other):
-        return isinstance(other, DiscreteLattice) and self.rank == other.rank
+        return type(other) is DiscreteLattice and self.rank == other.rank
 
     def __hash__(self):
         return hash(("DiscreteLattice", self.rank))
@@ -215,16 +152,6 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
             acc[p] = acc.get(p, 0) + m
         return tuple(sorted(acc.items()))
 
-    def sub(self, x, y):
-        acc = dict(x)
-        for p, m in y:
-            acc[p] = acc.get(p, 0) - m
-            if acc[p] < 0:
-                return None
-            if acc[p] == 0:
-                del acc[p]
-        return tuple(sorted(acc.items()))
-
     def frobenius(self, x):
         acc: dict = {}
         for (d, i, o), m in x:
@@ -241,12 +168,6 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
 
     def is_fixed(self, x, n):
         return self._frobenius_power(x, n) == x
-
-    def point(self, d: int, i: int, o: int = 0):
-        """Singleton multiset; a geometric point of the underlying set."""
-        if d not in self.census or not 0 <= i < self.census[d]:
-            raise ValueError(f"no orbit ({d}, {i}) in the census")
-        return (((d, i, o % d), 1),)
 
     def atoms(self, n: int, grade_bound: int):
         """Level-n 'atoms': the Frobenius^n orbits of geometric points, as
@@ -277,16 +198,6 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
         rec(0, (), grade_bound)
         # deduplicate (atoms are disjoint, so no duplicates arise; keep sorted)
         return sorted(set(out))
-
-    def summands(self, x, n):
-        ranges = [range(m + 1) for _, m in x]
-        pts = [p for p, _ in x]
-        out = []
-        for mults in itertools.product(*ranges):
-            y = tuple((p, m) for p, m in zip(pts, mults) if m)
-            if self.is_fixed(y, n):
-                out.append(y)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, FreeOrbitMonoid) and self.census == other.census
@@ -350,7 +261,7 @@ def gl_order_int(a: int, qn: int) -> int:
     return out
 
 
-class LinearObjectsMonoid(GradedGaloisMonoid):
+class LinearObjectsMonoid(DiscreteLattice):
     """Dimension vectors of linear objects with trivial Frobenius.
 
     Variants: plain vector spaces (one vertex, no arrows) and representations
@@ -364,10 +275,10 @@ class LinearObjectsMonoid(GradedGaloisMonoid):
             raise NotSymmetric(f"quiver has a non-symmetric Euler form: {quiver}")
         if q < 2:
             raise ValueError("q must be a prime power >= 2")
+        super().__init__(quiver.vertices)
         self.quiver = quiver
         self.q = q
         self.conv = conv
-        self._lattice = DiscreteLattice(quiver.vertices)
 
     @staticmethod
     def vect(q: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> "LinearObjectsMonoid":
@@ -377,38 +288,6 @@ class LinearObjectsMonoid(GradedGaloisMonoid):
     def is_vect(self) -> bool:
         return self.quiver.vertices == 1 and not self.quiver.arrows
 
-    # lattice structure (trivial Frobenius)
-    def zero(self):
-        return (0,) * self.quiver.vertices
-
-    def grading(self, x):
-        return x
-
-    def add(self, x, y):
-        return self._lattice.add(x, y)
-
-    def sub(self, x, y):
-        return self._lattice.sub(x, y)
-
-    def frobenius(self, x):
-        return x
-
-    def is_fixed(self, x, n):
-        return True
-
-    def fixed_elements(self, n, grade_bound):
-        return self._lattice.fixed_elements(n, grade_bound)
-
-    def trace(self, y, n, m):
-        return tuple(m * a for a in y)
-
-    def trace_fibers(self, x, n, m):
-        return self._lattice.trace_fibers(x, n, m)
-
-    def summands(self, x, n):
-        return self._lattice.summands(x, n)
-
-    # linear-objects payload
     def euler_form(self, x, y) -> int:
         out = sum(a * b for a, b in zip(x, y))
         for (i, j), c in self.quiver.arrows.items():
@@ -449,29 +328,13 @@ class LinearObjectsMonoid(GradedGaloisMonoid):
 
 
 # ---------------------------------------------------------------------------
-# Morphisms used by the pushforward/pullback layer.
-
-
-class IdentityMorphism:
-    sigma_finite = True
-    full_injective = True
-
-    def __init__(self, monoid):
-        self.source = monoid
-        self.target = monoid
-
-    def map(self, x):
-        return x
-
-    def preimage(self, x):
-        return x
+# Morphisms used by the pushforward layer.
 
 
 class GradingMorphism:
     """Total-grade map onto the rank-1 discrete lattice; sigma-finite fibers."""
 
     sigma_finite = True
-    full_injective = False
 
     def __init__(self, source):
         self.source = source
@@ -479,26 +342,3 @@ class GradingMorphism:
 
     def map(self, x):
         return (self.source.grade(x),)
-
-
-class AxisInclusion:
-    """Rank-1 lattice into a higher-rank lattice along one axis; the image is
-    a full submonoid, so pullback is a lambda-ring homomorphism."""
-
-    sigma_finite = True
-    full_injective = True
-
-    def __init__(self, target: DiscreteLattice, axis: int = 0):
-        self.source = DiscreteLattice(1)
-        self.target = target
-        self.axis = axis
-
-    def map(self, x):
-        out = [0] * self.target.rank
-        out[self.axis] = x[0]
-        return tuple(out)
-
-    def preimage(self, y):
-        if all(c == 0 for i, c in enumerate(y) if i != self.axis):
-            return (y[self.axis],)
-        return None

@@ -83,20 +83,6 @@ class RationalFunctionFit:
         """Degree of the numerator, -1 for the zero numerator."""
         return len(self.numerator) - 1
 
-    def expand(self, order: int) -> Series:
-        """Taylor coefficients of T^1..T^order."""
-        inv = _inv_denominator_coeffs(self.delta, self.big_d, order)
-        out = []
-        for r in range(1, order + 1):
-            acc = ExactScalar.zero()
-            for k, g in enumerate(self.numerator):
-                if k > r:
-                    break
-                if not g.is_zero() and (r - k) % self.delta == 0:
-                    acc = acc + g * inv[(r - k) // self.delta]
-            out.append(acc)
-        return Series(out)
-
     def limit_at_infinity(self) -> ExactScalar:
         """lim_{T->inf}: 0 if deg < delta*D, signed leading ratio if equal."""
         d = self.degree()
@@ -134,14 +120,6 @@ class RationalFunctionFit:
 
 def _binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def _inv_denominator_coeffs(delta: int, big_d: int, order: int):
-    """Coefficients of U^j in (1-U)^{-D}, j = 0..order//delta."""
-    top = order // delta
-    if big_d == 0:
-        return [ExactScalar.one()] + [ExactScalar.zero()] * top
-    return [ExactScalar.from_rational(_binom(j + big_d - 1, big_d - 1)) for j in range(top + 1)]
 
 
 def fit_rational(series: Series, delta: int, big_d: int) -> RationalFunctionFit:

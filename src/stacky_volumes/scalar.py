@@ -22,8 +22,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -33,10 +31,6 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @lru_cache(maxsize=None)
@@ -406,15 +400,6 @@ class ExactScalar:
     def one() -> "ExactScalar":
         return _ES_ONE
 
-    @staticmethod
-    def q_power(e) -> "ExactScalar":
-        return ExactScalar({Fraction(e): _CYC_ONE}, None, _normalized=True)
-
-    @staticmethod
-    def root_of_unity(a) -> "ExactScalar":
-        c = CycNumber.root(a)
-        return ExactScalar({ZERO: c} if not c.is_zero() else {}, None, _normalized=True)
-
     # -- ring/field structure ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -665,10 +650,10 @@ def _poly_json(p: dict):
 def _poly_from_json(entries) -> dict:
     out: dict = {}
     for entry in entries:
-        e = parse_rat(entry["qexp"])
-        a = parse_rat(entry["zeta"])
+        e = Fraction(entry["qexp"])
+        a = Fraction(entry["zeta"])
         for cs in entry["coeff"]:
-            c = CycNumber.root(a).scale(parse_rat(cs))
+            c = CycNumber.root(a).scale(Fraction(cs))
             s = out.get(e)
             s = c if s is None else s + c
             if s.is_zero():
@@ -689,12 +674,13 @@ _ES_ONE = ExactScalar({ZERO: _CYC_ONE}, None, _normalized=True)
 def root_of_unity(a) -> ExactScalar:
     """The root of unity zeta^a for a in Q/Z; root_of_unity(a)*root_of_unity(b)
     equals root_of_unity(a+b) on the nose."""
-    return ExactScalar.root_of_unity(a)
+    c = CycNumber.root(a)
+    return ExactScalar({ZERO: c} if not c.is_zero() else {}, None, _normalized=True)
 
 
 def q_power(e) -> ExactScalar:
     """The formal power q^e, e rational."""
-    return ExactScalar.q_power(e)
+    return ExactScalar({Fraction(e): _CYC_ONE}, None, _normalized=True)
 
 
 class HalfLConvention:
@@ -738,7 +724,7 @@ def half_l_level(n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactSca
     sign = 1
     if n > 1 and (conv.b1 + conv.b2 * n) % 2 == 1:
         sign = -1
-    return ExactScalar.q_power(Fraction(n, 2)) * sign
+    return q_power(Fraction(n, 2)) * sign
 
 
 def half_l_power(j: int, n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactScalar:

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .ehrhart import DeltaRegion, delta_count, positive_functional_exists
-from .lambdaring import CountingFunction, VolumeElem, mobius, pleth_log, pleth_sym, log_direct
+from .lambdaring import CountingFunction, VolumeElem, mobius, pleth_log, log_direct
 from .ratfun import NoRationalFit, Series, fit_rational
 from .scalar import (
     DEFAULT_CONVENTION,
@@ -819,12 +819,6 @@ class IdentityResidualReport:
     def is_zero(self) -> bool:
         return all(d1.is_zero() and d2.is_zero() for _, _, d1, d2 in self.residuals)
 
-    def max_abs_numeric(self, q0=2.0) -> float:
-        out = 0.0
-        for _, _, d1, d2 in self.residuals:
-            out = max(out, abs(d1.eval_numeric(q0)), abs(d2.eval_numeric(q0)))
-        return out
-
     def to_json(self):
         q0 = self.monoid.q
         return {
@@ -875,29 +869,14 @@ def plethystic_identity_residual(monoid: LinearObjectsMonoid, grade_bound: int,
 
 
 class QuiverBPSResult:
-    """Refined BPS invariants per dimension vector, as level-truncated volume
-    elements."""
+    """Refined BPS invariants per dimension vector, as level-truncated
+    values."""
 
-    def __init__(self, quiver, q, conv, gamma_bound, level_bound, per_gamma):
-        self.quiver = quiver
-        self.q = q
-        self.conv = conv
-        self.gamma_bound = gamma_bound
-        self.level_bound = level_bound
+    def __init__(self, per_gamma):
         self.per_gamma = per_gamma  # dict gamma -> VolumeElem
 
     def omega(self, gamma) -> VolumeElem:
         return self.per_gamma[tuple(gamma)]
-
-    def to_json(self):
-        return {
-            "gamma_bound": self.gamma_bound,
-            "level_bound": self.level_bound,
-            "invariants": [
-                {"gamma": list(g), "levels": [str(v) for v in ve.levels]}
-                for g, ve in sorted(self.per_gamma.items())
-            ],
-        }
 
 
 def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
@@ -917,21 +896,7 @@ def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
             denom = half_l_power(1, n, conv) - half_l_power(-1, n, conv)
             levels.append(lg.value(gamma, n) * denom)
         out[gamma] = VolumeElem(levels)
-    return QuiverBPSResult(quiver, q, conv, gamma_bound, level_bound, out)
-
-
-def verify_sym_roundtrip(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
-                         conv: HalfLConvention = DEFAULT_CONVENTION) -> bool:
-    """Sym applied to (BPS / half-Lefschetz difference) must reproduce the
-    stacky counting function within truncation."""
-    monoid = LinearObjectsMonoid(quiver, q, conv)
-    big_n = gamma_bound * gamma_bound * level_bound
-    shifted = stacky_counting_function(monoid, gamma_bound, big_n)
-    lg = pleth_log(shifted)
-    back = pleth_sym(lg)
-    return back.agrees_with(
-        shifted.restricted(level_bound=back.level_bound), gamma_bound, level_bound
-    )
+    return QuiverBPSResult(out)
 
 
 # ---------------------------------------------------------------------------

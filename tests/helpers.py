@@ -1,5 +1,7 @@
 """Shared test utilities: random scalars, random counting functions, the
-independent truncated Euler-product oracle for quiver BPS invariants, the
+brute-force addition and trace fibres that define convolution and Adams
+operations, the independent truncated Euler-product oracle for quiver BPS
+invariants, the Taylor expansion of a rational-function fit, the
 Euclid-only scalar normal form, and evaluation at q^(1/2) = t0."""
 
 import itertools
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 from stacky_volumes.lambdaring import CountingFunction, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
+from stacky_volumes.ratfun import Series
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
     ZERO,
@@ -70,6 +73,37 @@ def random_counting_function(monoid, rng, grade_bound, level_bound,
     return f
 
 
+def point(d: int, i: int, o: int = 0):
+    """The geometric point (orbit size d, orbit index i, offset o) of a free
+    orbit monoid, as a singleton multiset."""
+    return (((d, i, o % d), 1),)
+
+
+def add_fiber(monoid, x, n) -> list:
+    """All ordered pairs (a, b) of level-n fixed elements with a + b = x, by
+    brute force over the fixed elements: the fibre convolution sums over."""
+    k = monoid.key(x)
+    els = monoid.fixed_elements(n, monoid.grade(x))
+    return [(a, b) for a in els for b in els if monoid.key(monoid.add(a, b)) == k]
+
+
+def trace_fiber(monoid, x, n, m) -> list:
+    """All level-nm fixed elements y with Tr_{nm/n}(y) = x, by brute force
+    over the fixed elements: the fibre psi_m sums over."""
+    k = monoid.key(x)
+    return [y for y in monoid.fixed_elements(n * m, monoid.grade(x))
+            if monoid.key(monoid.trace(y, n, m)) == k]
+
+
+def pointwise_mul(f: CountingFunction, g: CountingFunction) -> CountingFunction:
+    """The other multiplication of counting functions: values multiplied
+    place by place."""
+    out = CountingFunction(f.monoid, f.grade_bound, f.level_bound)
+    for x, n, v in f.support():
+        out.set(x, n, v * g.value(x, n))
+    return out
+
+
 def _divisors(a):
     return [m for m in range(1, a + 1) if a % m == 0]
 
@@ -99,6 +133,21 @@ def oracle_one_loop_omega(a: int, level: int, conv=DEFAULT_CONVENTION) -> ExactS
         term = q_power(a * level) / (q_power(a * level) - 1)
         acc = acc + term * Fraction(mobius(m), a)
     return acc * (half_l_level(level, conv) - half_l_power(-1, level, conv))
+
+
+def expand(fit, order: int) -> Series:
+    """Taylor coefficients of T^1..T^order of the fitted g(T) / (1 - T^delta)^D:
+    the coefficient of U^j in (1 - U)^-D is C(j + D - 1, j)."""
+    d = fit.big_d
+    out = []
+    for r in range(1, order + 1):
+        acc = ExactScalar.zero()
+        for k, g in enumerate(fit.numerator[: r + 1]):
+            j, rest = divmod(r - k, fit.delta)
+            if not rest:
+                acc = acc + g * (math.comb(j + d - 1, j) if d else int(j == 0))
+        out.append(acc)
+    return Series(out)
 
 
 def euclid_normalize(num: dict, den: dict):

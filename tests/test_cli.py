@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,10 @@ def test_missing_integer_fields_take_defaults(tmp_path):
     ("volume", {"n": -1, "torusRank": 1, "weights": [[1, -1]], "q": 3}, "n"),
     ("volume", {"n": 2.0, "torusRank": 1, "weights": [[1, -1]], "q": 3}, "n"),
     ("bps", {"vertices": 0, "q": 2}, "vertices"),
+    ("volume", {"n": 1, "torusRank": 0, "finiteOrders": [0], "weights": [[1]], "q": 3},
+     "finiteOrders"),
+    ("volume", {"n": 1, "torusRank": 0, "finiteOrders": [-2], "weights": [[1]], "q": 3},
+     "finiteOrders"),
 ])
 def test_bad_integer_field_exits_2(tmp_path, capsys, command, params, field):
     code, err = run_error(tmp_path, capsys, command, params)
@@ -290,6 +295,32 @@ def test_q_not_a_prime_power_exits_2(tmp_path, capsys, command, params):
     assert "prime power" in err["error"]["message"]
 
 
+class _TooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow
+
+
+@pytest.mark.parametrize("command, params", [
+    ("volume", {"n": 2, "torusRank": 1, "weights": [[1, -1]]}),
+    ("bps", {"vertices": 1}),
+    ("plid-check", {}),
+])
+def test_q_above_bound_exits_2_within_a_second(tmp_path, capsys, command, params):
+    # 2^61 - 1 is prime; factoring it by trial division would take minutes
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, command, {**params, "q": 2**61 - 1})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "'q'" in err["error"]["message"] and "2^31" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("command, params, field", [
     ("delta", {"m": 1}, "'s'"),
     ("volume", {"n": 2, "weights": [[1, -1]], "q": 3}, "'torusRank'"),
@@ -303,6 +334,8 @@ def test_q_not_a_prime_power_exits_2(tmp_path, capsys, command, params):
     ("bps", {"vertices": 1, "q": 2, "arrows": [[0, 1, 1]]}, "arrow"),
     ("bps", {"vertices": 1, "q": 2, "half_l": [1, 1.5]}, "half_l"),
     ("bps", {"vertices": 1, "q": 2, "half_l": 5}, "half_l"),
+    ("volume", {"n": 2, "torusRank": 1, "weights": [[1, -1]], "q": 3, "fiber": "generic"},
+     "'fiber'"),
 ])
 def test_missing_or_malformed_field_exits_2(tmp_path, capsys, command, params, field):
     code, err = run_error(tmp_path, capsys, command, params)
@@ -321,6 +354,8 @@ ONE = [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]
     {"element": [1, 0], "level": 1, "value": ONE},
     {"element": [1], "level": 0, "value": ONE},
     {"element": [1], "level": 1, "value": "one"},
+    {"element": [1], "level": 1, "value": {"num": ONE, "den": []}},
+    {"element": [1], "level": 1, "value": [{"zeta": "0", "qexp": "0", "coeff": ["1/0"]}]},
 ])
 def test_plethystic_bad_entry_exits_2(tmp_path, capsys, entry):
     code, err = run_error(tmp_path, capsys, "plethystic",
