@@ -230,17 +230,22 @@ class CountingFunction:
 
 def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
     """(f*g)(x)_n = sum over ordered pairs of level-n fixed elements with
-    x' + x'' = x of f(x')_n g(x'')_n."""
+    x' + x'' = x of f(x')_n g(x'')_n.
+
+    within[n][b] lists g's level-n support of grade <= b in support order, so
+    x visits exactly the in-bound pairs of the all-pairs loop, in its order."""
     f._check_compatible(g)
     mon = f.monoid
-    out = CountingFunction(mon, f.grade_bound, f.level_bound)
-    by_level: dict[int, list] = {}
+    bound = f.grade_bound
+    out = CountingFunction(mon, bound, f.level_bound)
+    graded: dict[int, list] = {}
     for y, n, w in g.support():
-        by_level.setdefault(n, []).append((y, w))
+        graded.setdefault(n, []).append((mon.grade(y), y, w))
+    within = {n: [[(y, w) for gy, y, w in ys if gy <= b] for b in range(bound + 1)]
+              for n, ys in graded.items()}
     for x, n, v in f.support():
-        gx = mon.grade(x)
-        for y, w in by_level.get(n, ()):
-            if gx + mon.grade(y) <= f.grade_bound:
+        if n in within:
+            for y, w in within[n][bound - mon.grade(x)]:
                 out._accumulate(mon.add(x, y), n, v * w)
     return out
 

@@ -88,12 +88,18 @@ class CycNumber:
     """Element of the union of the cyclotomic fields Q(zeta_M), exact.
 
     Stored as a map {basis root exponent in [0,1) -> rational coefficient}.
+    The constructor keeps the dict it is given when no coefficient is zero,
+    so callers pass a fresh dict they do not touch again.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        self.terms = {a: c for a, c in (terms or {}).items() if c}
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
+            terms = {a: c for a, c in terms.items() if c}
+        self.terms = terms
 
     @staticmethod
     def from_rational(c) -> "CycNumber":
@@ -111,13 +117,13 @@ class CycNumber:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and ZERO in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def as_rational(self) -> Fraction:
         if not self.terms:
             return ZERO
         if self.is_rational():
-            return self.terms[ZERO]
+            return self.terms[0]
         raise ValueError(f"not a rational number: {self}")
 
     def conductor(self) -> int:
@@ -213,6 +219,8 @@ class CycNumber:
 
 
 _CYC_ONE = CycNumber.from_rational(1)
+# Copied, not rebuilt: dict.copy reuses the stored hash of the Fraction key.
+_DEN_ONE = {ZERO: _CYC_ONE}
 
 # ---------------------------------------------------------------------------
 # Laurent-polynomial helpers.  A "poly" is a dict {q-exponent Fraction: CycNumber}.
@@ -250,7 +258,7 @@ def _pmul(p1: dict, p2: dict) -> dict:
 
 
 def _int_poly(p: dict, n: int) -> dict[int, CycNumber]:
-    return {int(e * n): c for e, c in p.items()}
+    return {e.numerator * (n // e.denominator): c for e, c in p.items()}
 
 
 def _poly_divmod(num: dict[int, CycNumber], den: dict[int, CycNumber]):
@@ -377,7 +385,7 @@ class ExactScalar:
 
     def __init__(self, num: dict, den: dict | None = None, _normalized: bool = False):
         if den is None:
-            den = {ZERO: _CYC_ONE}
+            den = _DEN_ONE.copy()
         if not _normalized:
             num, den = _normalize(num, den)
         self.num = num
@@ -406,7 +414,8 @@ class ExactScalar:
         return not self.num
 
     def _den_is_one(self) -> bool:
-        return len(self.den) == 1 and ZERO in self.den and self.den[ZERO] == _CYC_ONE
+        # the int 0 hashes to 0 and equals Fraction(0): no Fraction hash
+        return len(self.den) == 1 and 0 in self.den and self.den[0] == _CYC_ONE
 
     def __add__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -526,8 +535,8 @@ class ExactScalar:
     def as_rational(self) -> Fraction:
         if self.is_zero():
             return ZERO
-        if self._den_is_one() and len(self.num) == 1 and ZERO in self.num:
-            return self.num[ZERO].as_rational()
+        if self._den_is_one() and len(self.num) == 1 and 0 in self.num:
+            return self.num[0].as_rational()
         raise ValueError(f"not a rational constant: {self}")
 
     def is_laurent(self) -> bool:
@@ -578,11 +587,11 @@ def _normalize(num: dict, den: dict):
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {ZERO: _CYC_ONE}
+        return {}, _DEN_ONE.copy()
     if len(den) == 1:
         (ed, cd), = den.items()
         inv = cd.inv()
-        return {e - ed: c * inv for e, c in num.items()}, {ZERO: _CYC_ONE}
+        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE.copy()
     n = 1
     for e in itertools.chain(num, den):
         n = n * e.denominator // math.gcd(n, e.denominator)
@@ -600,9 +609,10 @@ def _normalize(num: dict, den: dict):
         di, r = _poly_divmod(di, g)
         assert not r
     c0 = di[min(di)].inv()
-    shift = Fraction(vn - vd, n)
-    num_out = {Fraction(e, n) + shift: c * c0 for e, c in ni.items()}
-    den_out = {Fraction(e, n): c * c0 for e, c in di.items()}
+    one = c0 == _CYC_ONE
+    shift = vn - vd
+    num_out = {Fraction(e + shift, n): c if one else c * c0 for e, c in ni.items()}
+    den_out = {Fraction(e, n): c if one else c * c0 for e, c in di.items()}
     return num_out, den_out
 
 

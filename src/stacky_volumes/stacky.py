@@ -230,15 +230,13 @@ class ToricStackDatum:
     diagonally through the columns of an integer weight matrix with k + l rows.
     """
 
-    def __init__(self, n: int, torus_rank: int, finite_orders, weights, q: int,
-                 fiber: str = "origin"):
+    def __init__(self, n: int, torus_rank: int, finite_orders, weights, q: int):
         self.n = n
         self.k = torus_rank
         self.finite_orders = list(finite_orders)
         self.l = len(self.finite_orders)
         self.weights = [list(map(int, row)) for row in weights]
         self.q = q
-        self.fiber = fiber
         self._coefficients = []  # volume_series coefficients, r = 1, 2, ...
         if len(self.weights) != self.k + self.l:
             raise ValueError("weight matrix must have torusRank + #finiteOrders rows")
@@ -251,8 +249,6 @@ class ToricStackDatum:
         for d in self.finite_orders:
             if d < 1 or (q - 1) % d:
                 raise NonSplitFiniteGroup(f"order {d} does not divide q - 1 = {q - 1}")
-        if fiber != "origin":
-            raise ValueError("only the origin fibre is supported")
         free, finite = self._stab_invariants(frozenset(range(n)))
         if free or finite:
             raise NotGenericallyRepresentable(

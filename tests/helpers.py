@@ -1,8 +1,9 @@
 """Shared test utilities: random scalars, random counting functions, the
 brute-force addition and trace fibres that define convolution and Adams
-operations, the independent truncated Euler-product oracle for quiver BPS
-invariants, the Taylor expansion of a rational-function fit, the
-Euclid-only scalar normal form, and evaluation at q^(1/2) = t0."""
+operations, the all-pairs reference convolution, the independent truncated
+Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
+rational-function fit, the Euclid-only scalar normal form, and evaluation at
+q^(1/2) = t0."""
 
 import itertools
 import math
@@ -93,6 +94,22 @@ def trace_fiber(monoid, x, n, m) -> list:
     k = monoid.key(x)
     return [y for y in monoid.fixed_elements(n * m, monoid.grade(x))
             if monoid.key(monoid.trace(y, n, m)) == k]
+
+
+def reference_convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
+    """Convolution by the all-pairs loop: every pair of same-level support
+    elements in support order, skipping the pairs past the grade bound.
+    convolve must accumulate in this order, so keys and term order match."""
+    mon = f.monoid
+    out = CountingFunction(mon, f.grade_bound, f.level_bound)
+    by_level: dict[int, list] = {}
+    for y, n, w in g.support():
+        by_level.setdefault(n, []).append((y, w))
+    for x, n, v in f.support():
+        for y, w in by_level.get(n, ()):
+            if mon.grade(x) + mon.grade(y) <= f.grade_bound:
+                out._accumulate(mon.add(x, y), n, v * w)
+    return out
 
 
 def pointwise_mul(f: CountingFunction, g: CountingFunction) -> CountingFunction:

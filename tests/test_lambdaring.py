@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import add_fiber, ev, point, pointwise_mul, random_counting_function, trace_fiber
+from helpers import (
+    add_fiber,
+    ev,
+    point,
+    pointwise_mul,
+    random_counting_function,
+    random_scalar,
+    reference_convolve,
+    trace_fiber,
+)
 
 from stacky_volumes.lambdaring import (
     CountingFunction,
@@ -135,6 +144,35 @@ def test_convolve_matches_fiber_definition():
                 for a, b in add_fiber(mon, x, n):
                     direct = direct + f.value(a, n) * g.value(b, n)
                 assert conv.value(x, n) == direct, (mon, x, n)
+
+
+def _shuffled_function(mon, rng, grade_bound, level_bound):
+    """Dense function whose support is set in shuffled order, not by grade."""
+    f = CountingFunction(mon, grade_bound, level_bound)
+    for n in range(1, level_bound + 1):
+        els = mon.fixed_elements(n, grade_bound)
+        rng.shuffle(els)
+        for x in els:
+            f.set(x, n, random_scalar(rng, with_roots=True))
+    return f
+
+
+@pytest.mark.parametrize("mon", [FreeOrbitMonoid(affine_line_census(2, 3)), DiscreteLattice(2)],
+                         ids=["free-orbit", "lattice-2"])
+def test_convolve_keeps_all_pairs_order(mon):
+    rng = random.Random(21)
+    f = _shuffled_function(mon, rng, 3, 2)
+    g = _shuffled_function(mon, rng, 3, 2)
+    for h in (f, g):
+        grades = [mon.grade(x) for x, _, _ in h.support()]
+        assert grades != sorted(grades)
+    got, ref = convolve(f, g), reference_convolve(f, g)
+
+    def terms(h):
+        return [(k, list(v.num.items()), list(v.den.items())) for k, v in h.values.items()]
+
+    assert list(got.values.items()) == list(ref.values.items())
+    assert terms(got) == terms(ref)
 
 
 def test_adams_matches_trace_fiber_definition():

@@ -10,6 +10,7 @@ from helpers import euclid_normalize
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
+    ZERO,
     CycNumber,
     ExactScalar,
     HalfLConvention,
@@ -177,6 +178,44 @@ def test_hash_consistency():
     b = q_power(1) + 1
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_zero_key_lookups_whatever_made_the_key():
+    """The int 0 finds a zero Fraction key however the key was made."""
+    half = F(1, 2)
+    c = CycNumber({half - half: F(3, 2)})
+    made = {
+        "from_json": ExactScalar.from_json([{"zeta": "0", "qexp": "0", "coeff": ["3/2"]}]),
+        "arithmetic": ExactScalar({half - half: c}, None, _normalized=True),
+        "product": q_power(half) * q_power(-half) * F(3, 2),
+        "normalize": ExactScalar({F(1): c, F(0): c}, {F(1): CycNumber({ZERO: F(1)}),
+                                                     F(0): CycNumber({ZERO: F(1)})}),
+    }
+    three_halves = ExactScalar.from_rational(F(3, 2))
+    for how, s in made.items():
+        assert all(type(e) is F for p in (s.num, s.den) for e in p), how
+        assert s.is_laurent(), how
+        assert s.as_rational() == F(3, 2), how
+        (cyc,) = s.num.values()
+        assert cyc.is_rational() and cyc.as_rational() == F(3, 2), how
+        assert s.key() == three_halves.key() and hash(s) == hash(three_halves), how
+    for s in (root_of_unity(F(1, 3)), q_power(half), (q_power(1) + 1) / (q_power(1) + 2)):
+        with pytest.raises(ValueError):
+            s.as_rational()
+    assert not root_of_unity(F(1, 3)).num[ZERO].is_rational()
+    assert not ((q_power(1) + 1) / (q_power(1) + 2)).is_laurent()
+
+
+def test_cyc_number_drops_zero_coefficients():
+    half = F(1, 2)
+    assert CycNumber({ZERO: F(0), F(1, 3): F(2)}).terms == {F(1, 3): F(2)}
+    assert CycNumber({half - half: F(0)}).is_zero()
+    assert CycNumber({half - half: F(0)}).as_rational() == 0
+    r = CycNumber.root(F(1, 3))
+    assert (r - r).terms == {} and (r + (-r)).is_zero()
+    assert (CycNumber.from_rational(2) + CycNumber.from_rational(-2)).terms == {}
+    terms = {F(1, 3): F(2)}
+    assert CycNumber(terms).terms is terms
 
 
 def test_pow_negative_exponent():
