@@ -27,6 +27,11 @@ COMMANDS = ("ehrhart", "volume", "bps", "delta", "plid-check", "plethystic")
 # q only sizes finite-field tables (capped far lower) and numeric display;
 # the bound keeps the trial-division prime-power check instant.
 _Q_MAX = 2**31
+# ehrhart: prefix-grid points count_dilation may sweep over r = 1..order,
+# each dilation charged at least _DILATION_MIN for its fixed cost.  The
+# benchmark's tetrahedra sweep 2.8 million; 10^8 is a few seconds of numpy.
+_PREFIX_BUDGET = 10**8
+_DILATION_MIN = 2**10
 
 
 class SchemaViolation(Exception):
@@ -103,6 +108,7 @@ def _cmd_ehrhart(params):
     delta = poly.vertex_denominator_lcm() if not poly.is_empty else 1
     big_d = poly.dim + 1
     order = _int(params, "truncation", delta * big_d + delta + 2)
+    _ehrhart_preflight(poly, order)
     series = eh.ehrhart_series(poly, order)
     report = {
         "polytope": poly.to_json(),
@@ -116,6 +122,24 @@ def _cmd_ehrhart(params):
     report["fit"] = fit.to_json()
     report["limit"] = _scalar_report(fit.limit_at_infinity())
     return report
+
+
+def _ehrhart_preflight(poly, order):
+    """Refuse, before counting, a count that int64 cannot hold or that sweeps
+    more prefix-grid points than _PREFIX_BUDGET."""
+    if poly.dim >= 2 and not poly.is_empty and eh.dilation_bound(poly, order) >= eh.INT64_LIMIT:
+        raise SchemaViolation(
+            f"counting dilation {order} needs integers beyond the int64 limit 2^63;"
+            " use smaller coordinates, denominators or 'truncation'")
+    work = order * _DILATION_MIN
+    for r in range(1, order + 1):
+        if work > _PREFIX_BUDGET:
+            break
+        work += max(eh.prefix_points(poly, r) - _DILATION_MIN, 0)
+    if work > _PREFIX_BUDGET:
+        raise SchemaViolation(
+            f"counting dilations 1..{order} sweeps more than the prefix-grid budget"
+            f" of {_PREFIX_BUDGET:,} points; use a smaller polytope or 'truncation'")
 
 
 def _cmd_volume(params):

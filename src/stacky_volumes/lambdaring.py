@@ -114,7 +114,12 @@ class CountingFunction:
             self.elems[k] = x
 
     def _accumulate(self, x, n, v):
-        if v.is_zero() or self.monoid.grade(x) > self.grade_bound or n > self.level_bound:
+        if self.monoid.grade(x) <= self.grade_bound and n <= self.level_bound:
+            self._accumulate_in_bounds(x, n, v)
+
+    def _accumulate_in_bounds(self, x, n, v):
+        """_accumulate for a sum the caller knows is within both bounds."""
+        if v.is_zero():
             return
         k = self.monoid.key(x)
         s = self.values.get((k, n))
@@ -233,7 +238,8 @@ def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
     x' + x'' = x of f(x')_n g(x'')_n.
 
     within[n][b] lists g's level-n support of grade <= b in support order, so
-    x visits exactly the in-bound pairs of the all-pairs loop, in its order."""
+    x visits exactly the in-bound pairs of the all-pairs loop, in its order,
+    and their sums need no second bound check."""
     f._check_compatible(g)
     mon = f.monoid
     bound = f.grade_bound
@@ -246,7 +252,7 @@ def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
     for x, n, v in f.support():
         if n in within:
             for y, w in within[n][bound - mon.grade(x)]:
-                out._accumulate(mon.add(x, y), n, v * w)
+                out._accumulate_in_bounds(mon.add(x, y), n, v * w)
     return out
 
 

@@ -2,12 +2,14 @@
 brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the independent truncated
 Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
-rational-function fit, the Euclid-only scalar normal form, and evaluation at
-q^(1/2) = t0."""
+rational-function fit, the Euclid-only scalar normal form, evaluation at
+q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from stacky_volumes.lambdaring import CountingFunction, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
@@ -218,3 +220,46 @@ def ev(x: ExactScalar, t0: int) -> ExactScalar:
     if d.is_zero():
         raise ZeroDivisionError(f"pole at q^(1/2) = {t0}")
     return ExactScalar({ZERO: sub(x.num) * d.inv()})
+
+
+def reference_count_dilation(polytope, r: int) -> int:
+    """Points of (1/r)Z^d in the polytope by a Python loop over every prefix
+    of all but the last two coordinates, vectorized over the second-to-last,
+    as count_dilation computed it before its chunked broadcast: the oracle for
+    `ehrhart.count_dilation` at d >= 2."""
+    if polytope.is_empty:
+        return 0
+    lcm = 1
+    for row, rhs in zip(polytope.rows, polytope.rhs):
+        for x in itertools.chain(row, [rhs]):
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    rows = [[int(c * lcm) for c in row] for row in polytope.rows]
+    rhs = [int(b * lcm) * r for b in polytope.rhs]
+    ranges = []
+    for lo, hi in polytope.box:
+        zlo, zhi = math.ceil(lo * r), math.floor(hi * r)
+        if zlo > zhi:
+            return 0
+        ranges.append((zlo, zhi))
+    y_lo, y_hi = ranges[-2]
+    ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
+    total = 0
+    prefix_ranges = [range(lo, hi + 1) for lo, hi in ranges[:-2]]
+    z_lo, z_hi = ranges[-1]
+    for prefix in itertools.product(*prefix_ranges):
+        lo = np.full(ys.shape, z_lo, dtype=np.int64)
+        hi = np.full(ys.shape, z_hi, dtype=np.int64)
+        ok = np.ones(ys.shape, dtype=bool)
+        for row, b in zip(rows, rhs):
+            rest = b - sum(c * p for c, p in zip(row[:-2], prefix)) - row[-2] * ys
+            a = row[-1]
+            if a > 0:
+                np.maximum(lo, -((-rest) // a), out=lo)
+            elif a < 0:
+                np.minimum(hi, rest // a, out=hi)
+            else:
+                ok &= rest <= 0
+        width = hi - lo + 1
+        np.maximum(width, 0, out=width)
+        total += int(width[ok].sum())
+    return total

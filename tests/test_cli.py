@@ -321,6 +321,34 @@ def test_q_above_bound_exits_2_within_a_second(tmp_path, capsys, command, params
     assert "'q'" in err["error"]["message"] and "2^31" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("params, limit", [
+    # the integer form of dilation 3 has coefficients near 10^18 * 3
+    ({"vertices": [["0", "0"], ["3", "1/1000000007"], ["1/1000000009", "2"]],
+      "truncation": 3}, "int64 limit 2^63"),
+    # the default truncation of the same triangle is about 4 * 10^18
+    ({"vertices": [["0", "0"], ["3", "1/1000000007"], ["1/1000000009", "2"]]},
+     "int64 limit 2^63"),
+    # 3.3 * 10^10 prefix points at r = 1, a 248 GiB box before chunking
+    ({"vertices": [["0", "0"], ["100000000000/3", "0"], ["0", "1"]], "truncation": 2},
+     "prefix-grid budget"),
+    # a point: one prefix point per dilation, but a billion dilations
+    ({"A": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "b": ["0", "0", "0", "0"],
+      "truncation": 10**9}, "prefix-grid budget"),
+    ({"vertices": [["1/1000000007"], ["1"]]}, "prefix-grid budget"),
+])
+def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, limit):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, "ehrhart", params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert limit in err["error"]["message"]
+
+
 @pytest.mark.parametrize("command, params, field", [
     ("delta", {"m": 1}, "'s'"),
     ("volume", {"n": 2, "weights": [[1, -1]], "q": 3}, "'torusRank'"),

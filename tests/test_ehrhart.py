@@ -2,11 +2,17 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from helpers import reference_count_dilation
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from stacky_volumes import ehrhart
 from stacky_volumes.ehrhart import (
     DeltaRegion,
+    EhrhartError,
     RationalPolytope,
     Unbounded,
     count_dilation,
@@ -97,6 +103,51 @@ def _random_points(rng, d, count=None, scale=2):
             for sub in itertools.combinations(diffs, d)
         ):
             return pts
+
+
+_coord = st.builds(F, st.integers(0, 3), st.integers(1, 3))
+
+
+@st.composite
+def _small_polytopes(draw):
+    """A vertex-given polytope (d = 2, 3) or an H-rep box in d = 4 with one
+    extra cut, small enough for brute_count."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    if d < 4:
+        pts = draw(st.lists(st.tuples(*[_coord] * d), min_size=d + 1, max_size=d + 3))
+        try:
+            return RationalPolytope.from_vertices(pts)
+        except EhrhartError:
+            reject()
+    rows, rhs = [], []
+    for i in range(d):
+        lo = draw(_coord)
+        hi = lo + draw(st.builds(F, st.integers(0, 2), st.integers(1, 2)))
+        unit = [0] * d
+        unit[i] = 1
+        rows += [unit, [-c for c in unit]]
+        rhs += [lo, -hi]
+    rows.append(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    rhs.append(draw(st.builds(F, st.integers(-6, 6), st.integers(1, 2))))
+    return RationalPolytope(rows, rhs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ehrhart._CHUNK])
+@settings(max_examples=30, deadline=None)
+@given(poly=_small_polytopes(), r=st.integers(1, 3))
+def test_count_dilation_matches_oracles(chunk, poly, r):
+    # chunk sizes 1 and 7 put chunk boundaries inside the prefix grid
+    with mock.patch.object(ehrhart, "_CHUNK", chunk):
+        count = count_dilation(poly, r)
+    assert count == reference_count_dilation(poly, r) == brute_count(poly, r)
+
+
+def test_count_dilation_refuses_int64_overflow():
+    # integer rows near 10^18 at r = 3: numpy would raise or wrap around
+    poly = RationalPolytope.from_vertices(
+        [(0, 0), (3, F(1, 1000000007)), (F(1, 1000000009), 2)])
+    with pytest.raises(EhrhartError, match="int64"):
+        count_dilation(poly, 3)
 
 
 def test_dilation_compatibility():
