@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +33,12 @@ _Q_MAX = 2**31
 # benchmark's tetrahedra sweep 2.8 million; 10^8 is a few seconds of numpy.
 _PREFIX_BUDGET = 10**8
 _DILATION_MIN = 2**10
+# bps: convolution steps of the plethystic logarithm, estimated as P^2 pairs
+# x gammaBound convolutions x gammaBound * levels levels, P the lattice
+# points of grade <= gammaBound.  The benchmark's largest job (2 loops,
+# gammaBound 6, 2 levels) is 3,528; at 2 levels the 2-loop quiver takes
+# 3.4 s at gammaBound 8 (10,368) and 24 s at gammaBound 10 (24,200).
+_BPS_BUDGET = 2 * 10**4
 
 
 class SchemaViolation(Exception):
@@ -188,11 +195,18 @@ def _cmd_bps(params):
         raise SchemaViolation(
             f"each arrow must be three integers [source, target, count] with "
             f"source and target in 0..{vertices - 1} and count >= 0")
-    quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
     q = _prime_power(params)
     gamma_bound = _int(params, ("gammaBound", "grade"), 4)
     levels = _int(params, "levels", 1)
     conv = _parse_convention(params)
+    work = gamma_bound**2 * levels * (vertices + 1) ** 2  # P >= vertices + 1
+    if work <= _BPS_BUDGET:
+        work = gamma_bound**2 * levels * math.comb(gamma_bound + vertices, vertices) ** 2
+    if work > _BPS_BUDGET:
+        raise SchemaViolation(
+            f"the plethystic logarithm needs more convolution steps than the bps budget"
+            f" of {_BPS_BUDGET:,}; use a smaller 'gammaBound', 'levels' or 'vertices'")
+    quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
     result = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
     table = []
     for gamma, ve in sorted(result.per_gamma.items()):

@@ -202,6 +202,11 @@ class RationalPolytope:
         self.rows = [tuple(Fraction(c) for c in row) for row in rows]
         self.rhs = [Fraction(r) for r in rhs]
         self.dim = len(self.rows[0]) if self.rows else 0
+        # L*A and L*b for the common denominator L, the integer system that
+        # every dilation counts against
+        lcm = math.lcm(*(x.denominator for x in itertools.chain(*self.rows, self.rhs)))
+        self._int_rows = [[c.numerator * (lcm // c.denominator) for c in row] for row in self.rows]
+        self._int_rhs = [b.numerator * (lcm // b.denominator) for b in self.rhs]
 
     def _set_vertices(self):
         self.vertices = self._enumerate_vertices() if not self.is_empty else []
@@ -260,14 +265,9 @@ def _integer_form(polytope: RationalPolytope, r: int):
     """The r-th dilation over the integers: rows L*A, right-hand sides r*L*b
     (L the common denominator), so its points are the z in Z^d with
     (L*A) z >= r*L*b, and the integer ranges of its bounding box."""
-    lcm = 1
-    for row, rhs in zip(polytope.rows, polytope.rhs):
-        for x in itertools.chain(row, [rhs]):
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    rows = [[int(c * lcm) for c in row] for row in polytope.rows]
-    rhs = [int(b * lcm) * r for b in polytope.rhs]
+    rhs = [b * r for b in polytope._int_rhs]
     ranges = [(math.ceil(lo * r), math.floor(hi * r)) for lo, hi in polytope.box]
-    return rows, rhs, ranges
+    return polytope._int_rows, rhs, ranges
 
 
 def _int64_bound(rows, rhs, ranges) -> int:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def format_rat(x: Fraction) -> str:
@@ -257,10 +256,6 @@ def _pmul(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _int_poly(p: dict, n: int) -> dict[int, CycNumber]:
-    return {e.numerator * (n // e.denominator): c for e, c in p.items()}
-
-
 def _poly_divmod(num: dict[int, CycNumber], den: dict[int, CycNumber]):
     """Long division of genuine (non-negative exponent) polynomials."""
     dd = max(den)
@@ -287,20 +282,6 @@ def _poly_gcd(a: dict[int, CycNumber], b: dict[int, CycNumber]) -> dict[int, Cyc
         a, b = b, r
     lc = a[max(a)].inv()
     return {e: c * lc for e, c in a.items()}
-
-
-def _zz_primitive(p: dict[int, CycNumber]):
-    """(f, s) with p = s * f, f a primitive integer coefficient list in
-    ascending degree and s rational; None when p has a cyclotomic coefficient."""
-    if not all(c.is_rational() for c in p.values()):
-        return None
-    cs = {e: c.terms[ZERO] for e, c in p.items()}
-    den = math.lcm(*(c.denominator for c in cs.values()))
-    f = [0] * (max(p) + 1)
-    for e, c in cs.items():
-        f[e] = c.numerator * (den // c.denominator)
-    content = math.gcd(*f)
-    return [a // content for a in f], Fraction(content, den)
 
 
 def _zz_eval(f: list[int], x: int) -> int:
@@ -353,22 +334,116 @@ def _zz_heugcd(f: list[int], g: list[int]):
     return None
 
 
-def _zz_reduce(num: dict[int, CycNumber], den: dict[int, CycNumber]):
-    """num/den in lowest terms over Z[t] for rational coefficients; None when
-    a coefficient is cyclotomic or GCDHEU gives up.  Terms come back in the
-    order Euclid gives: unchanged when the gcd is 1, else descending."""
-    pn, pd = _zz_primitive(num), _zz_primitive(den)
-    res = pn and pd and _zz_heugcd(pn[0], pd[0])
-    if not res:
-        return None
-    h, cf, cg = res
-    if len(h) == 1:
-        return num, den
-    return _zz_dict(cf, pn[1] / pd[1]), _zz_dict(cg, ONE)
+# ---------------------------------------------------------------------------
+# Rational coefficients over integer terms.  A "zz poly" is a dict
+# {exponent k of t = q^(1/n): nonzero int} standing for sum c t^k / d with
+# one positive integer d per polynomial, its keys in the scalar's key order.
 
 
-def _zz_dict(f: list[int], scale: Fraction) -> dict[int, CycNumber]:
-    return {e: CycNumber({ZERO: scale * f[e]}) for e in reversed(range(len(f))) if f[e]}
+def _zz_form(*polys):
+    """(n, [(p, d), ...]) with every scalar poly equal to p(q^(1/n)) / d, or
+    None when a coefficient is not rational."""
+    n = math.lcm(*(e.denominator for p in polys for e in p))
+    out = []
+    for p in polys:
+        cs = [c.terms.get(0) if len(c.terms) == 1 else None for c in p.values()]
+        if not all(cs):  # coefficients are nonzero: None marks a cyclotomic one
+            return None
+        d = math.lcm(*(c.denominator for c in cs))
+        out.append(({e.numerator * (n // e.denominator): c.numerator * (d // c.denominator)
+                     for e, c in zip(p, cs)}, d))
+    return n, out
+
+
+def _zz_mul(p1: dict, p2: dict) -> dict:
+    """_pmul on zz polys.  A key whose sum cancels is deleted, and goes to the
+    end if it comes back, so keys come out in the order _pmul gives."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _zz_add(p1: dict, p2: dict, k1: int, k2: int) -> dict:
+    """k1 p1 + k2 p2 for positive k1, k2, keys in the order _padd gives:
+    positive factors leave the zero pattern of every sum unchanged."""
+    out = {e: c * k1 for e, c in p1.items()} if k1 != 1 else dict(p1)
+    for e, c in p2.items():
+        s = out.get(e, 0) + c * k2
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _zz_dense(p: dict, v: int, k: int):
+    """(f, content) with p = content * t^v f(t^k), f a primitive coefficient
+    list in ascending degree."""
+    f = [0] * ((max(p) - v) // k + 1)
+    for e, c in p.items():
+        f[(e - v) // k] = c
+    content = math.gcd(*f)
+    return [a // content for a in f], content
+
+
+def _zz_normalize(n: int, num: dict, den: dict, s: Fraction):
+    """The normal form of s * num / den for zz polys num and den over
+    t = q^(1/n): the denominator's lowest term becomes 1, and terms keep the
+    caller's order when the gcd is 1, else come in descending order.  The gcd
+    is GCDHEU's; Euclid runs only when it gives up."""
+    res = None
+    if num and len(den) > 1:
+        vn, vd = min(num), min(den)
+        k = math.gcd(n, *num, *den)
+        (f, cf), (g, cg) = _zz_dense(num, vn, k), _zz_dense(den, vd, k)
+        res = _zz_heugcd(f, g)
+    if res is None:
+        # no gcd to take (zero numerator, one-term denominator), or GCDHEU gave up
+        return _euclid_normal(
+            {Fraction(e, n): CycNumber.from_rational(s * c) for e, c in num.items()},
+            {Fraction(e, n): CycNumber.from_rational(c) for e, c in den.items()})
+    h, qf, qg = res
+    if len(h) > 1:
+        s = s * cf / cg
+        num = {vn + i * k: c for i, c in reversed(list(enumerate(qf))) if c}
+        den = {vd + i * k: c for i, c in reversed(list(enumerate(qg))) if c}
+    low = den[vd]
+    s /= low
+    return ({Fraction(e - vd, n): CycNumber({ZERO: s * c}) for e, c in num.items()},
+            {Fraction(e - vd, n): CycNumber({ZERO: Fraction(c, low)}) for e, c in den.items()})
+
+
+def _euclid_normal(num: dict, den: dict):
+    """The normal form of num / den on Fraction keys and CycNumber
+    coefficients: directly for a zero numerator or a one-term denominator,
+    else with the gcd by Euclid over Q(zeta)[t], for cyclotomic coefficients
+    and when GCDHEU gives up."""
+    if not num:
+        return {}, _DEN_ONE.copy()
+    if len(den) == 1:
+        (ed, cd), = den.items()
+        inv = cd.inv()
+        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE.copy()
+    n = math.lcm(*(e.denominator for e in itertools.chain(num, den)))
+    vn, vd = min(num), min(den)
+    ni = {int((e - vn) * n): c for e, c in num.items()}
+    di = {int((e - vd) * n): c for e, c in den.items()}
+    if max(g := _poly_gcd(ni, di)) > 0:
+        ni, r = _poly_divmod(ni, g)
+        assert not r
+        di, r = _poly_divmod(di, g)
+        assert not r
+    c0 = di[min(di)].inv()
+    return ({Fraction(e, n) + vn - vd: c * c0 for e, c in ni.items()},
+            {Fraction(e, n): c * c0 for e, c in di.items()})
 
 
 class ExactScalar:
@@ -423,6 +498,12 @@ class ExactScalar:
             return NotImplemented
         if self._den_is_one() and other._den_is_one():
             return ExactScalar(_padd(self.num, other.num), None, _normalized=True)
+        z = _zz_form(self.num, self.den, other.num, other.den)
+        if z:
+            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
+            num = _zz_add(_zz_mul(an, bd), _zz_mul(bn, ad), db * dad, da * dbd)
+            num, den = _zz_normalize(n, num, _zz_mul(ad, bd), Fraction(1, da * db))
+            return ExactScalar(num, den, _normalized=True)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return ExactScalar(num, _pmul(self.den, other.den))
 
@@ -446,6 +527,12 @@ class ExactScalar:
             return NotImplemented
         if self._den_is_one() and other._den_is_one():
             return ExactScalar(_pmul(self.num, other.num), None, _normalized=True)
+        z = _zz_form(self.num, self.den, other.num, other.den)
+        if z:
+            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
+            s = Fraction(dad * dbd, da * db)
+            num, den = _zz_normalize(n, _zz_mul(an, bn), _zz_mul(ad, bd), s)
+            return ExactScalar(num, den, _normalized=True)
         return ExactScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -456,6 +543,12 @@ class ExactScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("ExactScalar division by zero")
+        z = _zz_form(self.num, self.den, other.num, other.den)
+        if z:
+            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
+            s = Fraction(dad * db, da * dbd)
+            num, den = _zz_normalize(n, _zz_mul(an, bd), _zz_mul(ad, bn), s)
+            return ExactScalar(num, den, _normalized=True)
         return ExactScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other) -> "ExactScalar":
@@ -586,34 +679,10 @@ def _normalize(num: dict, den: dict):
     den = {e: c for e, c in den.items() if not c.is_zero()}
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if not num:
-        return {}, _DEN_ONE.copy()
-    if len(den) == 1:
-        (ed, cd), = den.items()
-        inv = cd.inv()
-        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE.copy()
-    n = 1
-    for e in itertools.chain(num, den):
-        n = n * e.denominator // math.gcd(n, e.denominator)
-    ni = _int_poly(num, n)
-    di = _int_poly(den, n)
-    vn, vd = min(ni), min(di)
-    ni = {e - vn: c for e, c in ni.items()}
-    di = {e - vd: c for e, c in di.items()}
-    reduced = _zz_reduce(ni, di)
-    if reduced:
-        ni, di = reduced
-    elif max(g := _poly_gcd(ni, di)) > 0:
-        ni, r = _poly_divmod(ni, g)
-        assert not r
-        di, r = _poly_divmod(di, g)
-        assert not r
-    c0 = di[min(di)].inv()
-    one = c0 == _CYC_ONE
-    shift = vn - vd
-    num_out = {Fraction(e + shift, n): c if one else c * c0 for e, c in ni.items()}
-    den_out = {Fraction(e, n): c if one else c * c0 for e, c in di.items()}
-    return num_out, den_out
+    if num and len(den) > 1 and (z := _zz_form(num, den)):
+        n, ((pn, dn), (pd, dd)) = z
+        return _zz_normalize(n, pn, pd, Fraction(dd, dn))
+    return _euclid_normal(num, den)
 
 
 def _poly_str(p: dict) -> str:

@@ -2,8 +2,8 @@
 brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the independent truncated
 Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
-rational-function fit, the Euclid-only scalar normal form, evaluation at
-q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
+rational-function fit, the Euclid-only scalar normal form and arithmetic,
+evaluation at q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
 
 import itertools
 import math
@@ -19,7 +19,8 @@ from stacky_volumes.scalar import (
     ZERO,
     CycNumber,
     ExactScalar,
-    _int_poly,
+    _padd,
+    _pmul,
     _poly_divmod,
     _poly_gcd,
     half_l_level,
@@ -186,8 +187,8 @@ def euclid_normalize(num: dict, den: dict):
     n = 1
     for e in itertools.chain(num, den):
         n = n * e.denominator // math.gcd(n, e.denominator)
-    ni = _int_poly(num, n)
-    di = _int_poly(den, n)
+    ni = {e.numerator * (n // e.denominator): c for e, c in num.items()}
+    di = {e.numerator * (n // e.denominator): c for e, c in den.items()}
     vn, vd = min(ni), min(di)
     ni = {e - vn: c for e, c in ni.items()}
     di = {e - vd: c for e, c in di.items()}
@@ -202,6 +203,26 @@ def euclid_normalize(num: dict, den: dict):
     num_out = {Fraction(e, n) + shift: c * c0 for e, c in ni.items()}
     den_out = {Fraction(e, n): c * c0 for e, c in di.items()}
     return num_out, den_out
+
+
+def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
+    """a op b for op in "+-*/" by the dict path alone: _padd and _pmul over
+    CycNumber coefficients, then euclid_normalize, as the arithmetic computed
+    it before its integer path.  The oracle for values and key order both."""
+    if op == "-":
+        op, b = "+", -b
+    laurent = a.is_laurent() and b.is_laurent()
+    if op == "+":
+        if laurent:
+            return ExactScalar(_padd(a.num, b.num), None, _normalized=True)
+        num, den = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den)
+    elif op == "*":
+        if laurent:
+            return ExactScalar(_pmul(a.num, b.num), None, _normalized=True)
+        num, den = _pmul(a.num, b.num), _pmul(a.den, b.den)
+    else:
+        num, den = _pmul(a.num, b.den), _pmul(a.den, b.num)
+    return ExactScalar(*euclid_normalize(num, den), _normalized=True)
 
 
 def ev(x: ExactScalar, t0: int) -> ExactScalar:

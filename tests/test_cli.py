@@ -349,6 +349,26 @@ def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, 
     assert limit in err["error"]["message"]
 
 
+@pytest.mark.parametrize("params", [
+    # the known hang: about 2.7 million estimated convolution steps
+    {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 40},
+    # 24 s at the estimate 24,200, just over the budget
+    {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 10, "levels": 2},
+    {"vertices": 10**9, "q": 2},
+])
+def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, "bps", params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert "bps budget of 20,000" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("command, params, field", [
     ("delta", {"m": 1}, "'s'"),
     ("volume", {"n": 2, "weights": [[1, -1]], "q": 3}, "'torusRank'"),

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_normalize
+from helpers import euclid_normalize, reference_arith
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -270,9 +271,10 @@ def _check_normal_form(num, den, n):
 
 
 @st.composite
-def _rational_fractions(draw, n):
-    coeff = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)).filter(bool)
-    rat = st.builds(F, coeff, st.integers(1, 12))
+def _rational_fractions(draw, n, rat=None):
+    if rat is None:
+        coeff = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)).filter(bool)
+        rat = st.builds(F, coeff, st.integers(1, 12))
 
     def poly():
         terms = draw(st.dictionaries(st.integers(-3, 3 * n), rat, min_size=1, max_size=5))
@@ -345,3 +347,49 @@ def test_normalize_falls_back_to_euclid_when_gcdheu_gives_up(monkeypatch):
     monkeypatch.setattr(scalar, "_zz_heugcd", lambda f, g: None)
     g = _qpoly({0: 1, 1: 1, 2: 1}, 2)
     _check_normal_form(_pmul(_qpoly({0: 5, 3: 1}, 2), g), _pmul(_qpoly({1: 2, 0: -3}, 2), g), 2)
+
+
+@pytest.mark.parametrize("case", ["fractions", "unit_coefficients", "laurent", "root_of_unity",
+                                  "gcdheu_gives_up"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_arithmetic_matches_dict_path(case, data):
+    """+, -, * and / against the dict path (reference_arith): equal values and
+    equal key order in numerator and denominator."""
+    # The oracle's Euclid swells coefficients, over Q(zeta_3)[t] the most: keep
+    # degrees low where Euclid runs on both sides, and coefficients small at
+    # the higher degrees of t = q^(1/6) and over Q(zeta_3).  Coefficients +-1
+    # make running sums cancel and come back within a product.
+    euclid = case in ("root_of_unity", "gcdheu_gives_up")
+    n = 2 if euclid else data.draw(st.sampled_from([2, 6]))
+    rat = {"unit_coefficients": st.sampled_from([F(-1), F(1)]),
+           "root_of_unity": st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 4))}
+    small = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+    fractions = _rational_fractions(n, rat.get(case, small if n == 6 else None))
+    a, b = (ExactScalar(*data.draw(fractions)) for _ in range(2))
+    if case == "laurent":
+        b = ExactScalar(b.num)
+    elif case == "root_of_unity":
+        b = b * root_of_unity(F(1, 3))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    op = data.draw(st.sampled_from("+-*/"))
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "gcdheu_gives_up":
+            mp.setattr(scalar, "_zz_heugcd", lambda f, g: None)
+        got = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}[op](a, b)
+        want = reference_arith(op, a, b)
+    assert got == want
+    assert list(got.num.items()) == list(want.num.items())
+    assert list(got.den.items()) == list(want.den.items())
+
+
+def test_arithmetic_reinserts_cancelled_keys_last():
+    # (q^-1 + 1 + q)(q - 1 + q^2) in that term order: the q^1 sum cancels at
+    # the second row and comes back at the third, so it goes last
+    a = ExactScalar(_qpoly({0: 1, 1: 1, -1: 1}, 1), _qpoly({1: 1, 0: -2}, 1))
+    b = ExactScalar(_qpoly({1: 1, 0: -1, 2: 1}, 1))
+    got, want = a * b, reference_arith("*", a, b)
+    assert got == want and list(got.num.items()) == list(want.num.items())
+    assert list(got.num) == [F(2), F(3), F(-1), F(1)]
