@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,24 @@ _DILATION_MIN = 2**10
 # gammaBound 6, 2 levels) is 3,528; at 2 levels the 2-loop quiver takes
 # 3.4 s at gammaBound 8 (10,368) and 24 s at gammaBound 10 (24,200).
 _BPS_BUDGET = 2 * 10**4
+# plethystic: three guards checked before any value becomes a scalar.  With
+# no values the operations cost about 35 us per slot of grade * levels
+# (10^4: 0.45 s; 10^6: 40 s).  Coefficient products over Z[zeta_M] cost up
+# to phi(M)^2 basis products, M the lcm of the roots' orders: the benchmark
+# has M = 12, and values zeta_113^112 at every point of grade <= 6 of N^2,
+# 2 levels, take 17 s.  Denominators with roots of unity of order > 2 reduce
+# by Euclid over Q(zeta)[t], whose coefficients swell: two such values at
+# grade 4 take 7.7 s, or over 60 s with 12-digit coefficients.  A rational
+# denominator's gcd costs about (grade * span)^2, span the exponent range in
+# steps of q^(1/N): den q^S - 1 at grade 4 takes 0.3 s at S = 10^3, 1.9 s at
+# 10^4 and 142 s at 10^5.
+_LEVEL_BUDGET = 10**4
+_CONDUCTOR_MAX = 120
+_CONDUCTOR_DEN_MAX = 2
+_SPAN_BUDGET = 2 * 10**4
+# a decimal exponent past Python's int-string digit limit (4300) would make
+# Fraction build a number of that many digits
+_EXPONENT = re.compile(r"[eE]([+-]?\d+)")
 
 
 class SchemaViolation(Exception):
@@ -49,7 +68,7 @@ def _scalar_report(s: ExactScalar, q0=None):
     out = {"exact": s.to_json(), "display": str(s)}
     if q0 is not None:
         z = s.eval_numeric(q0)
-        out["value_at_q"] = z.real if abs(z.imag) < 1e-12 else [z.real, z.imag]
+        out["value_at_q"] = z.real if s.is_real() else [z.real, z.imag]
     return out
 
 
@@ -262,10 +281,12 @@ def _cmd_plethystic(params):
         raise SchemaViolation("op must be sym|log|log_direct")
     grade = _int(params, "grade", 4)
     levels = _int(params, "levels", 1)
+    values = _require(params, "values", list, "plethystic")
+    _plethystic_preflight(grade, levels, values)
     lattice = mo.DiscreteLattice(rank)
     budget = grade * levels
     f = lr.CountingFunction(lattice, grade, budget)
-    for entry in _require(params, "values", list, "plethystic"):
+    for entry in values:
         if not isinstance(entry, dict) or not {"element", "level", "value"} <= entry.keys():
             raise SchemaViolation("each entry of 'values' needs element, level and value")
         el = entry["element"]
@@ -291,6 +312,47 @@ def _cmd_plethystic(params):
     ]
     return {"op": op, "grade": result.grade_bound, "levels": result.level_bound,
             "values": entries}
+
+
+def _fraction(x) -> Fraction:
+    if isinstance(x, str) and (m := _EXPONENT.search(x)) and abs(int(m.group(1))) > 4300:
+        raise ValueError(f"decimal exponent of {x!r} is past 4300")
+    return Fraction(x)
+
+
+def _plethystic_preflight(grade, levels, values):
+    """Refuse, before any value becomes a scalar, a job past the level
+    budget, a root-of-unity conductor past its bound, or, when some value has
+    a denominator of more than one term, grade times the exponent span past
+    the span budget."""
+    if grade * levels > _LEVEL_BUDGET:
+        raise SchemaViolation(
+            f"grade * levels = {grade * levels:,} is over the plethystic level budget of"
+            f" {_LEVEL_BUDGET:,}; use a smaller 'grade' or 'levels'")
+    values = [e["value"] for e in values if isinstance(e, dict) and "value" in e]
+    polys = [(p, i == 1) for v in values
+             for i, p in enumerate([v.get("num"), v.get("den")] if isinstance(v, dict) else [v])]
+    try:
+        terms = [(_fraction(t["zeta"]), _fraction(t["qexp"]),
+                  [_fraction(c) for c in t["coeff"]], den)
+                 for p, den in polys if isinstance(p, list) for t in p]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaViolation(f"malformed value term: {exc}") from exc
+    # a denominator of one term divides out; of more, it needs a gcd
+    has_den = sum(len(cs) for _, _, cs, den in terms if den) > 1
+    conductor = math.lcm(*(z.denominator for z, _, _, _ in terms))
+    bound = _CONDUCTOR_DEN_MAX if has_den else _CONDUCTOR_MAX
+    if conductor > bound:
+        raise SchemaViolation(
+            f"the roots of unity have orders of lcm {conductor}, over the conductor bound of"
+            f" {bound}" + (" for values with denominators" if has_den else ""))
+    if has_den:
+        n = math.lcm(*(e.denominator for _, e, _, _ in terms))
+        span = n * (max(e for _, e, _, _ in terms) - min(e for _, e, _, _ in terms))
+        if grade * span > _SPAN_BUDGET:
+            raise SchemaViolation(
+                f"grade * exponent span = {grade} * {span} is over the span budget of"
+                f" {_SPAN_BUDGET:,} (span in steps of q^(1/{n})); use fewer or closer exponents")
 
 
 _HANDLERS = {
@@ -361,7 +423,7 @@ def run(argv) -> int:
         try:
             with open(args.input) as handle:
                 params = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or past the int digit limit
             _emit({"error": {"kind": "SchemaViolation", "message": str(exc)}}, args,
                   force_json=True)
             return 2

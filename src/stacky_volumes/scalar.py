@@ -2,12 +2,12 @@
 rational powers of a formal variable q.
 
 Values are fractions of Laurent "polynomials" in q^(1/N) whose coefficients
-are cyclotomic numbers.  Cyclotomic numbers are stored on the prime-power
-product basis: the roots of unity zeta^(k/d) whose component exponent at every
-prime power p^a dividing d is < phi(p^a).  That basis is compatible across
-conductors (the basis of Q(zeta_d) sits inside the basis of Q(zeta_M) for
-d | M), so the normal form of a value never depends on the conductor history
-and structural equality coincides with mathematical equality.
+are cyclotomic numbers, on the prime-power product basis: the roots of unity
+zeta^(k/d) whose component exponent at every prime power p^a dividing d is
+< phi(p^a).  The basis of Q(zeta_d) sits inside that of Q(zeta_M) for d | M,
+so the normal form never depends on the conductor history.  A scalar keeps
+one integer form (see "The integer form" below); the dicts of CycNumber
+coefficients are a view built for output and the Euclid fallback only.
 
 q never gets a numeric value during exact computation; `eval_numeric`
 substitutes q -> q0 (positive real root for fractional exponents) and
@@ -19,8 +19,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 ZERO = Fraction(0)
 
@@ -52,35 +53,22 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_basis_expansion(a: Fraction) -> tuple[tuple[Fraction, int], ...]:
-    """Expand the root of unity with exponent a (mod 1) over the basis.
-
-    Returns ((basis exponent, +-1), ...).  The relation used at each prime
-    power p^a is 1 + x^{p^{a-1}} + ... + x^{(p-1)p^{a-1}} = 0 for x = zeta_{p^a}
-    restricted to exponents >= phi(p^a); a single pass lands in the basis.
-    """
-    a = a % 1
-    d = a.denominator
-    k = a.numerator
+def _expansion(k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """zeta_m^k over the basis: ((j, +-1), ...) for basis roots zeta_m^j,
+    j increasing.  At each prime power p^a exactly dividing m, the relation
+    1 + x^{p^{a-1}} + ... + x^{(p-1)p^{a-1}} = 0 for x = zeta_{p^a} rewrites
+    exponents >= phi(p^a); a single pass lands in the basis."""
     parts = []
-    for p, ap in factor(d):
-        pp = p**ap
-        j = (k * pow(d // pp, -1, pp)) % pp
-        phi = pp - pp // p
-        if j < phi:
-            parts.append(((Fraction(j, pp), 1),))
-        else:
-            t = j - phi
-            step = pp // p
-            parts.append(tuple((Fraction(t + i * step, pp), -1) for i in range(p - 1)))
-    acc: dict[Fraction, int] = {}
+    for p, a in factor(m):
+        pp, c = p**a, m // p**a
+        j, phi, step = k * pow(c, -1, pp) % pp, pp - pp // p, pp // p
+        parts.append([(j * c, 1)] if j < phi
+                     else [((j - phi + i * step) * c, -1) for i in range(p - 1)])
+    acc: dict[int, int] = {}
     for combo in itertools.product(*parts):
-        e = sum((c for c, _ in combo), ZERO) % 1
-        s = 1
-        for _, sg in combo:
-            s *= sg
-        acc[e] = acc.get(e, 0) + s
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
+        e = sum(j for j, _ in combo) % m
+        acc[e] = acc.get(e, 0) + math.prod(s for _, s in combo)
+    return tuple(sorted((e, s) for e, s in acc.items() if s))
 
 
 class CycNumber:
@@ -107,10 +95,9 @@ class CycNumber:
 
     @staticmethod
     def root(a) -> "CycNumber":
-        terms: dict[Fraction, Fraction] = {}
-        for e, s in _root_basis_expansion(Fraction(a)):
-            terms[e] = terms.get(e, ZERO) + s
-        return CycNumber(terms)
+        a = Fraction(a)
+        return CycNumber({Fraction(j, a.denominator): Fraction(s)
+                          for j, s in _expansion(a.numerator, a.denominator)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -125,12 +112,6 @@ class CycNumber:
             return self.terms[0]
         raise ValueError(f"not a rational number: {self}")
 
-    def conductor(self) -> int:
-        m = 1
-        for a in self.terms:
-            m = m * a.denominator // math.gcd(m, a.denominator)
-        return m
-
     def __add__(self, other: "CycNumber") -> "CycNumber":
         out = dict(self.terms)
         for a, c in other.terms.items():
@@ -143,25 +124,13 @@ class CycNumber:
     def __sub__(self, other: "CycNumber") -> "CycNumber":
         return self + (-other)
 
-    def _times_root(self, b: Fraction, coeff: Fraction) -> dict[Fraction, Fraction]:
-        out: dict[Fraction, Fraction] = {}
-        for a, c in self.terms.items():
-            for e, s in _root_basis_expansion(a + b):
-                key = e
-                out[key] = out.get(key, ZERO) + c * coeff * s
-        return out
-
     def __mul__(self, other: "CycNumber") -> "CycNumber":
-        if self.is_rational():
-            c = self.as_rational()
-            return CycNumber({a: c * d for a, d in other.terms.items()})
-        if other.is_rational():
-            return other * self
-        out: dict[Fraction, Fraction] = {}
-        for b, cb in other.terms.items():
-            for a, contrib in self._times_root(b, cb).items():
-                out[a] = out.get(a, ZERO) + contrib
-        return CycNumber(out)
+        m = math.lcm(*(a.denominator for a in itertools.chain(self.terms, other.terms)))
+        prod = _vmul(self._vec(m), other._vec(m), m)
+        return CycNumber({Fraction(j, m): c for j, c in prod.items()})
+
+    def _vec(self, m: int) -> dict:
+        return {a.numerator * (m // a.denominator): c for a, c in self.terms.items()}
 
     def scale(self, c) -> "CycNumber":
         c = Fraction(c)
@@ -169,18 +138,19 @@ class CycNumber:
 
     def galois(self, j: int) -> "CycNumber":
         """Apply the automorphism zeta -> zeta^j (j coprime to the conductor)."""
-        out: dict[Fraction, Fraction] = {}
-        for a, c in self.terms.items():
-            for e, s in _root_basis_expansion(j * a):
+        m = math.lcm(*(a.denominator for a in self.terms))
+        out: dict[int, Fraction] = {}
+        for a, c in self._vec(m).items():
+            for e, s in _expansion(j * a, m):
                 out[e] = out.get(e, ZERO) + c * s
-        return CycNumber(out)
+        return CycNumber({Fraction(e, m): c for e, c in out.items()})
 
     def inv(self) -> "CycNumber":
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.is_rational():
             return CycNumber.from_rational(1 / self.as_rational())
-        m = self.conductor()
+        m = math.lcm(*(a.denominator for a in self.terms))
         prod = CycNumber.from_rational(1)
         for j in range(2, m):
             if math.gcd(j, m) == 1:
@@ -189,10 +159,8 @@ class CycNumber:
         return prod.scale(Fraction(1) / norm)
 
     def eval_complex(self) -> complex:
-        return sum(
-            (float(c) * cmath.exp(2j * math.pi * float(a)) for a, c in self.terms.items()),
-            0j,
-        )
+        return sum((float(c) * cmath.exp(2j * math.pi * float(a))
+                    for a, c in self.terms.items()), 0j)
 
     def key(self):
         return tuple(sorted(self.terms.items()))
@@ -206,54 +174,13 @@ class CycNumber:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for a, c in sorted(self.terms.items()):
-            if a == 0:
-                bits.append(format_rat(c))
-            elif c == 1:
-                bits.append(f"z[{format_rat(a)}]")
-            else:
-                bits.append(f"{format_rat(c)}*z[{format_rat(a)}]")
-        return " + ".join(bits)
+        return " + ".join(
+            format_rat(c) if a == 0 else f"z[{format_rat(a)}]" if c == 1
+            else f"{format_rat(c)}*z[{format_rat(a)}]" for a, c in sorted(self.terms.items()))
 
 
 _CYC_ONE = CycNumber.from_rational(1)
-# Copied, not rebuilt: dict.copy reuses the stored hash of the Fraction key.
 _DEN_ONE = {ZERO: _CYC_ONE}
-
-# ---------------------------------------------------------------------------
-# Laurent-polynomial helpers.  A "poly" is a dict {q-exponent Fraction: CycNumber}.
-
-
-def _padd(p1: dict, p2: dict) -> dict:
-    out = dict(p1)
-    for e, c in p2.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _pneg(p: dict) -> dict:
-    return {e: -c for e, c in p.items()}
-
-
-def _pmul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = e1 + e2
-            c = c1 * c2
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
 
 
 def _poly_divmod(num: dict[int, CycNumber], den: dict[int, CycNumber]):
@@ -282,6 +209,27 @@ def _poly_gcd(a: dict[int, CycNumber], b: dict[int, CycNumber]) -> dict[int, Cyc
         a, b = b, r
     lc = a[max(a)].inv()
     return {e: c * lc for e, c in a.items()}
+
+
+def _euclid_normal(num: dict, den: dict):
+    """The normal form of num / den (num nonzero) on Fraction keys and
+    CycNumber coefficients: directly for a one-term denominator, else with
+    the gcd by Euclid over Q(zeta)[t], for cyclotomic coefficients and when
+    GCDHEU gives up."""
+    if len(den) == 1:
+        (ed, cd), = den.items()
+        inv = cd.inv()
+        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE
+    n = math.lcm(*(e.denominator for e in itertools.chain(num, den)))
+    vn, vd = min(num), min(den)
+    ni = {int((e - vn) * n): c for e, c in num.items()}
+    di = {int((e - vd) * n): c for e, c in den.items()}
+    if max(g := _poly_gcd(ni, di)) > 0:
+        (ni, r1), (di, r2) = _poly_divmod(ni, g), _poly_divmod(di, g)
+        assert not r1 and not r2
+    c0 = di[min(di)].inv()
+    return ({Fraction(e, n) + vn - vd: c * c0 for e, c in ni.items()},
+            {Fraction(e, n): c * c0 for e, c in di.items()})
 
 
 def _zz_eval(f: list[int], x: int) -> int:
@@ -335,35 +283,32 @@ def _zz_heugcd(f: list[int], g: list[int]):
 
 
 # ---------------------------------------------------------------------------
-# Rational coefficients over integer terms.  A "zz poly" is a dict
-# {exponent k of t = q^(1/n): nonzero int} standing for sum c t^k / d with
-# one positive integer d per polynomial, its keys in the scalar's key order.
+# The integer form.  num and den are zz polys over t = q^(1/n) and Z[zeta_m]:
+# dicts {exponent k of t: nonzero coefficient} for sum c t^k / d, with one
+# positive integer d each, coprime to the content.  A coefficient is an int
+# when m = 1, else a dict {j: nonzero int} for sum c_j zeta_m^j over basis
+# roots.  Lifting to N or M multiplies keys by N/n or M/m, keeping their
+# order.  The kernel replays the dict path (tests/helpers.py): a key is
+# inserted when it first appears, updated in place, deleted when its sum
+# cancels and put back at the end if it returns, so keys and coefficient
+# terms come out in its order.
+
+_ZZ = (operator.mul, operator.add, int)  # Z: (mul, add, the int k as a coefficient)
+_ZZ_ONE = {0: 1}
+_CYC_ZZ_ONE = {0: {0: 1}}
+_ZERO_FORM = (1, 1, {}, 1, _ZZ_ONE, 1)
 
 
-def _zz_form(*polys):
-    """(n, [(p, d), ...]) with every scalar poly equal to p(q^(1/n)) / d, or
-    None when a coefficient is not rational."""
-    n = math.lcm(*(e.denominator for p in polys for e in p))
-    out = []
-    for p in polys:
-        cs = [c.terms.get(0) if len(c.terms) == 1 else None for c in p.values()]
-        if not all(cs):  # coefficients are nonzero: None marks a cyclotomic one
-            return None
-        d = math.lcm(*(c.denominator for c in cs))
-        out.append(({e.numerator * (n // e.denominator): c.numerator * (d // c.denominator)
-                     for e, c in zip(p, cs)}, d))
-    return n, out
-
-
-def _zz_mul(p1: dict, p2: dict) -> dict:
-    """_pmul on zz polys.  A key whose sum cancels is deleted, and goes to the
-    end if it comes back, so keys come out in the order _pmul gives."""
+def _zz_mul(p1: dict, p2: dict, ring=_ZZ) -> dict:
+    """p1 * p2 over the coefficient ring (mul, add, _)."""
+    mul, add = ring[0], ring[1]
     out: dict = {}
     get = out.get
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
             e = e1 + e2
-            s = get(e, 0) + c1 * c2
+            s = get(e)
+            s = mul(c1, c2) if s is None else add(s, mul(c1, c2))
             if s:
                 out[e] = s
             else:
@@ -371,17 +316,94 @@ def _zz_mul(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _zz_add(p1: dict, p2: dict, k1: int, k2: int) -> dict:
-    """k1 p1 + k2 p2 for positive k1, k2, keys in the order _padd gives:
-    positive factors leave the zero pattern of every sum unchanged."""
-    out = {e: c * k1 for e, c in p1.items()} if k1 != 1 else dict(p1)
+def _zz_add(p1: dict, p2: dict, ring=_ZZ) -> dict:
+    """p1 + p2 over the coefficient ring; over Z it is also the sum of two
+    coefficients of Z[zeta_m], on their basis vectors."""
+    add = ring[1]
+    out = dict(p1)
+    get = out.get
     for e, c in p2.items():
-        s = out.get(e, 0) + c * k2
+        s = get(e)
+        s = c if s is None else add(s, c)
         if s:
             out[e] = s
         else:
             del out[e]
     return out
+
+
+def _scaled(p: dict, k: int, ring) -> dict:
+    return p if k == 1 else _zz_mul(p, {0: ring[2](k)}, ring)
+
+
+def _vmul(x: dict, y: dict, m: int) -> dict:
+    """The product of two elements of Q(zeta_m) on their basis vectors,
+    replaying the dict path: terms in the order they first appear, basis
+    products expanded through _expansion, zero sums dropped at the end."""
+    for r, v in ((y, x), (x, y)):  # an integer factor keeps the other's order
+        if len(r) == 1 and 0 in r:
+            return {j: c * r[0] for j, c in v.items()}
+    out: dict = {}
+    get = out.get
+    for b, vb in y.items():
+        for a, va in x.items():
+            c = va * vb
+            for j, s in _expansion(a + b, m):
+                out[j] = get(j, 0) + c * s
+    return {j: v for j, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _ring(m: int):
+    """(mul, add, const) on the coefficients over Z[zeta_m]."""
+    return _ZZ if m == 1 else (partial(_vmul, m=m), _zz_add, lambda k: {0: k})
+
+
+def _rational(p: dict) -> bool:
+    """Whether every Z[zeta_m] coefficient of p is an integer."""
+    return all(len(c) == 1 and 0 in c for c in p.values())
+
+
+def _reduced(p: dict, d: int, m: int):
+    """(p / g, d / g) for g the gcd of d and every integer of p."""
+    g = math.gcd(d, *(p.values() if m == 1 else (v for c in p.values() for v in c.values())))
+    if g == 1:
+        return p, d
+    if m == 1:
+        return {e: c // g for e, c in p.items()}, d // g
+    return {e: {j: v // g for j, v in c.items()} for e, c in p.items()}, d // g
+
+
+def _lift(p: dict, a: int, b: int, m0: int) -> dict:
+    """p, a zz poly over m0, with keys times a and basis indices times b."""
+    if b == 1:
+        return p if a == 1 else {k * a: c for k, c in p.items()}
+    if m0 == 1:
+        return {k * a: {0: c} for k, c in p.items()}
+    return {k * a: {j * b: v for j, v in c.items()} for k, c in p.items()}
+
+
+def _lifted(x: "ExactScalar", y: "ExactScalar"):
+    """[n, m, x num, x den, y num, y den] over the lcm of their n and m."""
+    if x._n == y._n and x._m == y._m:
+        return x._n, x._m, x._num, x._den, y._num, y._den
+    n, m = math.lcm(x._n, y._n), math.lcm(x._m, y._m)
+    out = [n, m]
+    for s in (x, y):
+        a, b = n // s._n, m // s._m
+        out += [_lift(s._num, a, b, s._m), _lift(s._den, a, b, s._m) if len(s._den) > 1
+                else _ZZ_ONE if m == 1 else _CYC_ZZ_ONE]
+    return out
+
+
+def _laurent(n: int, m: int, num: dict, d: int):
+    """The form of the Laurent polynomial num / d, with m = 1 when every
+    coefficient is an integer."""
+    if d > 1:
+        num, d = _reduced(num, d, m)
+    if m > 1 and _rational(num):
+        num, m = {e: c[0] for e, c in num.items()}, 1
+    return n, m, num, d, _ZZ_ONE if m == 1 else _CYC_ZZ_ONE, 1
 
 
 def _zz_dense(p: dict, v: int, k: int):
@@ -395,21 +417,16 @@ def _zz_dense(p: dict, v: int, k: int):
 
 
 def _zz_normalize(n: int, num: dict, den: dict, s: Fraction):
-    """The normal form of s * num / den for zz polys num and den over
-    t = q^(1/n): the denominator's lowest term becomes 1, and terms keep the
-    caller's order when the gcd is 1, else come in descending order.  The gcd
-    is GCDHEU's; Euclid runs only when it gives up."""
-    res = None
-    if num and len(den) > 1:
-        vn, vd = min(num), min(den)
-        k = math.gcd(n, *num, *den)
-        (f, cf), (g, cg) = _zz_dense(num, vn, k), _zz_dense(den, vd, k)
-        res = _zz_heugcd(f, g)
+    """The form of s * num / den for integer-coefficient num and den, den of
+    more than one term: the denominator's lowest term becomes 1, and terms
+    keep the caller's order when the gcd is 1, else come in descending
+    order.  The gcd is GCDHEU's; None when it gives up."""
+    vn, vd = min(num), min(den)
+    k = math.gcd(n, *num, *den)
+    (f, cf), (g, cg) = _zz_dense(num, vn, k), _zz_dense(den, vd, k)
+    res = _zz_heugcd(f, g)
     if res is None:
-        # no gcd to take (zero numerator, one-term denominator), or GCDHEU gave up
-        return _euclid_normal(
-            {Fraction(e, n): CycNumber.from_rational(s * c) for e, c in num.items()},
-            {Fraction(e, n): CycNumber.from_rational(c) for e, c in den.items()})
+        return None
     h, qf, qg = res
     if len(h) > 1:
         s = s * cf / cg
@@ -417,33 +434,57 @@ def _zz_normalize(n: int, num: dict, den: dict, s: Fraction):
         den = {vd + i * k: c for i, c in reversed(list(enumerate(qg))) if c}
     low = den[vd]
     s /= low
-    return ({Fraction(e - vd, n): CycNumber({ZERO: s * c}) for e, c in num.items()},
-            {Fraction(e - vd, n): CycNumber({ZERO: Fraction(c, low)}) for e, c in den.items()})
+    sign = 1 if low > 0 else -1
+    return (n, 1, *_reduced({e - vd: c * s.numerator for e, c in num.items()}, s.denominator, 1),
+            *_reduced({e - vd: c * sign for e, c in den.items()}, abs(low), 1))
 
 
-def _euclid_normal(num: dict, den: dict):
-    """The normal form of num / den on Fraction keys and CycNumber
-    coefficients: directly for a zero numerator or a one-term denominator,
-    else with the gcd by Euclid over Q(zeta)[t], for cyclotomic coefficients
-    and when GCDHEU gives up."""
+def _normal(n: int, m: int, num: dict, nd: int, den: dict, dd: int):
+    """The normal form of (num / nd) / (den / dd): over integers for
+    integer coefficients or a one-term integer denominator, else by
+    _euclid_normal on the dict view."""
+    if m > 1 and _rational(num) and _rational(den):
+        num, den, m = {e: c[0] for e, c in num.items()}, {e: c[0] for e, c in den.items()}, 1
     if not num:
-        return {}, _DEN_ONE.copy()
-    if len(den) == 1:
-        (ed, cd), = den.items()
-        inv = cd.inv()
-        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE.copy()
-    n = math.lcm(*(e.denominator for e in itertools.chain(num, den)))
-    vn, vd = min(num), min(den)
-    ni = {int((e - vn) * n): c for e, c in num.items()}
-    di = {int((e - vd) * n): c for e, c in den.items()}
-    if max(g := _poly_gcd(ni, di)) > 0:
-        ni, r = _poly_divmod(ni, g)
-        assert not r
-        di, r = _poly_divmod(di, g)
-        assert not r
-    c0 = di[min(di)].inv()
-    return ({Fraction(e, n) + vn - vd: c * c0 for e, c in ni.items()},
-            {Fraction(e, n): c * c0 for e, c in di.items()})
+        return _ZERO_FORM
+    ring = _ring(m)
+    if len(den) == 1 and (m == 1 or _rational(den)):
+        (vd, c), = den.items()
+        s = Fraction(dd, nd * (c if m == 1 else c[0]))
+        return _laurent(n, m, _zz_mul(num, {-vd: ring[2](s.numerator)}, ring), s.denominator)
+    if m == 1 and (form := _zz_normalize(n, num, den, Fraction(dd, nd))):
+        return form
+    return _int_form(*_euclid_normal(_poly_view(num, n, m, nd), _poly_view(den, n, m, dd)))
+
+
+def _int_form(num: dict, den: dict):
+    """(n, m, num, nd, den, dd) for dicts on Fraction keys and nonzero
+    CycNumber coefficients, n and m the least that hold them."""
+    n = math.lcm(*(e.denominator for p in (num, den) for e in p))
+    m = math.lcm(*(a.denominator for p in (num, den) for c in p.values() for a in c.terms))
+    out = [n, m]
+    for p in (num, den):
+        d = math.lcm(*(v.denominator for c in p.values() for v in c.terms.values()))
+        vecs = [{j: v.numerator * (d // v.denominator) for j, v in c._vec(m).items()}
+                for c in p.values()]
+        out += [{e.numerator * (n // e.denominator): v[0] if m == 1 else v
+                 for e, v in zip(p, vecs)}, d]
+    return tuple(out)
+
+
+def _poly_view(p: dict, n: int, m: int, d: int) -> dict:
+    """The zz poly p / d on Fraction keys and CycNumber coefficients."""
+    if m == 1:
+        return {Fraction(k, n): CycNumber({ZERO: Fraction(c, d)}) for k, c in p.items()}
+    return {Fraction(k, n): CycNumber({Fraction(j, m): Fraction(v, d) for j, v in c.items()})
+            for k, c in p.items()}
+
+
+def _new(form) -> "ExactScalar":
+    s = object.__new__(ExactScalar)
+    s._n, s._m, s._num, s._nd, s._den, s._dd = form
+    s._view = s._key = None
+    return s
 
 
 class ExactScalar:
@@ -454,26 +495,29 @@ class ExactScalar:
     and gcd(num shifted to valuation 0, den) = 1.  The numerator absorbs any
     overall q-power shift as fractional exponents.  Uniqueness of the normal
     form makes == and hash mathematically meaningful.
+
+    The value is kept in the integer form only; `num` and `den`, the dicts
+    {q-exponent Fraction: CycNumber}, are a view built on first use.
     """
 
-    __slots__ = ("num", "den", "_key")
+    __slots__ = ("_n", "_m", "_num", "_nd", "_den", "_dd", "_view", "_key")
 
     def __init__(self, num: dict, den: dict | None = None, _normalized: bool = False):
-        if den is None:
-            den = _DEN_ONE.copy()
-        if not _normalized:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
-        self._key = None
+        num = {e: c for e, c in num.items() if not c.is_zero()}
+        den = _DEN_ONE if den is None else {e: c for e, c in den.items() if not c.is_zero()}
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        form = _int_form(num, den)
+        self._n, self._m, self._num, self._nd, self._den, self._dd = (
+            form if _normalized else _normal(*form))
+        self._view = self._key = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(c) -> "ExactScalar":
         c = Fraction(c)
-        num = {ZERO: CycNumber.from_rational(c)} if c else {}
-        return ExactScalar(num, None, _normalized=True)
+        return _new((1, 1, {0: c.numerator} if c else {}, c.denominator, _ZZ_ONE, 1))
 
     @staticmethod
     def zero() -> "ExactScalar":
@@ -483,34 +527,40 @@ class ExactScalar:
     def one() -> "ExactScalar":
         return _ES_ONE
 
+    def _views(self):
+        if self._view is None:
+            self._view = (_poly_view(self._num, self._n, self._m, self._nd),
+                          _poly_view(self._den, self._n, self._m, self._dd))
+        return self._view
+
+    num = property(lambda self: self._views()[0])
+    den = property(lambda self: self._views()[1])
+
     # -- ring/field structure ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
-
-    def _den_is_one(self) -> bool:
-        # the int 0 hashes to 0 and equals Fraction(0): no Fraction hash
-        return len(self.den) == 1 and 0 in self.den and self.den[0] == _CYC_ONE
+        return not self._num
 
     def __add__(self, other) -> "ExactScalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._den_is_one() and other._den_is_one():
-            return ExactScalar(_padd(self.num, other.num), None, _normalized=True)
-        z = _zz_form(self.num, self.den, other.num, other.den)
-        if z:
-            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
-            num = _zz_add(_zz_mul(an, bd), _zz_mul(bn, ad), db * dad, da * dbd)
-            num, den = _zz_normalize(n, num, _zz_mul(ad, bd), Fraction(1, da * db))
-            return ExactScalar(num, den, _normalized=True)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return ExactScalar(num, _pmul(self.den, other.den))
+        n, m, an, ad, bn, bd = _lifted(self, other)
+        ring = _ring(m)
+        da, dad, db, dbd = self._nd, self._dd, other._nd, other._dd
+        if len(ad) == 1 and len(bd) == 1:
+            d = da if da == db else math.lcm(da, db)
+            num = _zz_add(_scaled(an, d // da, ring), _scaled(bn, d // db, ring), ring)
+            return _new(_laurent(n, m, num, d))
+        num = _zz_add(_scaled(_zz_mul(an, bd, ring), db * dad, ring),
+                      _scaled(_zz_mul(bn, ad, ring), da * dbd, ring), ring)
+        return _new(_normal(n, m, num, da * db * dad * dbd, _zz_mul(ad, bd, ring), dad * dbd))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(_pneg(self.num), self.den, _normalized=True)
+        return _new((self._n, self._m, _scaled(self._num, -1, _ring(self._m)), self._nd,
+                     self._den, self._dd))
 
     def __sub__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -525,15 +575,12 @@ class ExactScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._den_is_one() and other._den_is_one():
-            return ExactScalar(_pmul(self.num, other.num), None, _normalized=True)
-        z = _zz_form(self.num, self.den, other.num, other.den)
-        if z:
-            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
-            s = Fraction(dad * dbd, da * db)
-            num, den = _zz_normalize(n, _zz_mul(an, bn), _zz_mul(ad, bd), s)
-            return ExactScalar(num, den, _normalized=True)
-        return ExactScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        n, m, an, ad, bn, bd = _lifted(self, other)
+        ring = _ring(m)
+        num, nd = _zz_mul(an, bn, ring), self._nd * other._nd
+        if len(ad) == 1 and len(bd) == 1:
+            return _new(_laurent(n, m, num, nd))
+        return _new(_normal(n, m, num, nd, _zz_mul(ad, bd, ring), self._dd * other._dd))
 
     __rmul__ = __mul__
 
@@ -543,13 +590,10 @@ class ExactScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("ExactScalar division by zero")
-        z = _zz_form(self.num, self.den, other.num, other.den)
-        if z:
-            n, ((an, da), (ad, dad), (bn, db), (bd, dbd)) = z
-            s = Fraction(dad * db, da * dbd)
-            num, den = _zz_normalize(n, _zz_mul(an, bd), _zz_mul(ad, bn), s)
-            return ExactScalar(num, den, _normalized=True)
-        return ExactScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        n, m, an, ad, bn, bd = _lifted(self, other)
+        ring = _ring(m)
+        return _new(_normal(n, m, _zz_mul(an, bd, ring), self._nd * other._dd,
+                            _zz_mul(ad, bn, ring), self._dd * other._nd))
 
     def __rtruediv__(self, other) -> "ExactScalar":
         return _coerce(other) / self
@@ -570,17 +614,17 @@ class ExactScalar:
 
     def key(self):
         if self._key is None:
-            self._key = (
-                tuple(sorted((e, c.key()) for e, c in self.num.items())),
-                tuple(sorted((e, c.key()) for e, c in self.den.items())),
-            )
+            self._key = tuple(tuple(sorted((e, c.key()) for e, c in p.items()))
+                              for p in (self.num, self.den))
         return self._key
 
     def __eq__(self, other) -> bool:
+        # the normal form over common n and m is unique: compare integers
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.key() == other.key()
+        _, _, an, ad, bn, bd = _lifted(self, other)
+        return (self._nd, self._dd) == (other._nd, other._dd) and an == bn and ad == bd
 
     def __hash__(self):
         return hash(self.key())
@@ -593,13 +637,17 @@ class ExactScalar:
         if q0 <= 0:
             raise ValueError("q0 must be positive")
 
-        def ev(p: dict) -> complex:
-            return sum(
-                (c.eval_complex() * math.exp(e * math.log(q0)) for e, c in p.items()),
-                0j,
-            )
+        num, den = (sum((c.eval_complex() * math.exp(e * math.log(q0)) for e, c in p.items()), 0j)
+                    for p in (self.num, self.den))
+        return num / den
 
-        return ev(self.num) / ev(self.den)
+    def is_real(self) -> bool:
+        """True when the value is fixed by zeta -> zeta^-1, the complex
+        conjugation, so that it is real at every q > 0."""
+        if self._m == 1:
+            return True
+        conj = ({e: c.galois(-1) for e, c in p.items()} for p in (self.num, self.den))
+        return ExactScalar(*conj, _normalized=True) == self
 
     def substitute_q(self, q0) -> "ExactScalar":
         """Exactly substitute the integer part of every q-power by q0 ** int.
@@ -608,54 +656,38 @@ class ExactScalar:
         9 * q^(1/2).  Exact rational arithmetic throughout.
         """
         q0 = Fraction(q0)
-
-        def sub(p: dict) -> dict:
-            out: dict = {}
-            for e, c in p.items():
-                k = math.floor(e)
-                frac = e - k
-                cc = c.scale(q0**k)
-                s = out.get(frac)
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    out.pop(frac, None)
-                else:
-                    out[frac] = s
-            return out
-
-        return ExactScalar(sub(self.num), sub(self.den))
+        num, den = (sum((ExactScalar({e % 1: c.scale(q0 ** math.floor(e))}, None, True)
+                         for e, c in p.items()), _ES_ZERO) for p in (self.num, self.den))
+        return num / den
 
     def as_rational(self) -> Fraction:
         if self.is_zero():
             return ZERO
-        if self._den_is_one() and len(self.num) == 1 and 0 in self.num:
-            return self.num[0].as_rational()
+        if self._m == 1 and len(self._den) == 1 and len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._nd)
         raise ValueError(f"not a rational constant: {self}")
 
     def is_laurent(self) -> bool:
         """True when the denominator is trivial (value is a q-Laurent polynomial)."""
-        return self._den_is_one()
+        return len(self._den) == 1
 
     def __str__(self):
         if self.is_zero():
             return "0"
+        if self.is_laurent():
+            return _poly_str(self.num)
         num, den = self.num, self.den
-        if not self._den_is_one():
-            lead = den[max(den)]
-            if lead.is_rational() and lead.as_rational() < 0:
-                num = {e: -c for e, c in num.items()}
-                den = {e: -c for e, c in den.items()}
-        ns = _poly_str(num)
-        if self._den_is_one():
-            return ns
-        return f"({ns}) / ({_poly_str(den)})"
+        lead = den[max(den)]
+        if lead.is_rational() and lead.as_rational() < 0:
+            num, den = ({e: -c for e, c in p.items()} for p in (num, den))
+        return f"({_poly_str(num)}) / ({_poly_str(den)})"
 
     __repr__ = __str__
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
-        if self._den_is_one():
+        if self.is_laurent():
             return _poly_json(self.num)
         return {"num": _poly_json(self.num), "den": _poly_json(self.den)}
 
@@ -674,17 +706,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def _normalize(num: dict, den: dict):
-    num = {e: c for e, c in num.items() if not c.is_zero()}
-    den = {e: c for e, c in den.items() if not c.is_zero()}
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if num and len(den) > 1 and (z := _zz_form(num, den)):
-        n, ((pn, dn), (pd, dd)) = z
-        return _zz_normalize(n, pn, pd, Fraction(dd, dn))
-    return _euclid_normal(num, den)
-
-
 def _poly_str(p: dict) -> str:
     bits = []
     for e, c in sorted(p.items(), reverse=True):
@@ -693,29 +714,16 @@ def _poly_str(p: dict) -> str:
         elif e == 1:
             qs = "q"
         else:
-            es = format_rat(e) if e.denominator == 1 else f"({format_rat(e)})"
-            qs = f"q^{es}"
+            qs = f"q^{format_rat(e)}" if e.denominator == 1 else f"q^({format_rat(e)})"
         if c.is_rational():
             r = c.as_rational()
-            sign = "-" if r < 0 else "+"
-            r = abs(r)
-            if not qs:
-                body = format_rat(r)
-            elif r == 1:
-                body = qs
-            else:
-                body = f"{format_rat(r)}*{qs}"
+            sign, r = "-" if r < 0 else "+", abs(r)
+            body = format_rat(r) if not qs else qs if r == 1 else f"{format_rat(r)}*{qs}"
         else:
-            sign = "+"
-            body = f"({c!r})*{qs}" if qs else f"({c!r})"
+            sign, body = "+", f"({c!r})*{qs}" if qs else f"({c!r})"
         bits.append((sign, body))
-    out = ""
-    for i, (sign, body) in enumerate(bits):
-        if i == 0:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out
+    (sign, body), rest = bits[0], bits[1:]
+    return (body if sign == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in rest)
 
 
 def _poly_json(p: dict):
@@ -729,12 +737,9 @@ def _poly_json(p: dict):
 def _poly_from_json(entries) -> dict:
     out: dict = {}
     for entry in entries:
-        e = Fraction(entry["qexp"])
-        a = Fraction(entry["zeta"])
+        e, root = Fraction(entry["qexp"]), CycNumber.root(entry["zeta"])
         for cs in entry["coeff"]:
-            c = CycNumber.root(a).scale(Fraction(cs))
-            s = out.get(e)
-            s = c if s is None else s + c
+            s = out.get(e, CycNumber()) + root.scale(Fraction(cs))
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -742,8 +747,8 @@ def _poly_from_json(entries) -> dict:
     return out
 
 
-_ES_ZERO = ExactScalar({}, None, _normalized=True)
-_ES_ONE = ExactScalar({ZERO: _CYC_ONE}, None, _normalized=True)
+_ES_ZERO = _new(_ZERO_FORM)
+_ES_ONE = _new((1, 1, _ZZ_ONE, 1, _ZZ_ONE, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +758,13 @@ _ES_ONE = ExactScalar({ZERO: _CYC_ONE}, None, _normalized=True)
 def root_of_unity(a) -> ExactScalar:
     """The root of unity zeta^a for a in Q/Z; root_of_unity(a)*root_of_unity(b)
     equals root_of_unity(a+b) on the nose."""
-    c = CycNumber.root(a)
-    return ExactScalar({ZERO: c} if not c.is_zero() else {}, None, _normalized=True)
+    return ExactScalar({ZERO: CycNumber.root(a)}, None, _normalized=True)
 
 
 def q_power(e) -> ExactScalar:
     """The formal power q^e, e rational."""
-    return ExactScalar({Fraction(e): _CYC_ONE}, None, _normalized=True)
+    e = Fraction(e)
+    return _new((e.denominator, 1, {e.numerator: 1}, 1, _ZZ_ONE, 1))
 
 
 class HalfLConvention:
@@ -777,17 +782,13 @@ class HalfLConvention:
     def __init__(self, b1: int = 1, b2: int = 1):
         if b1 not in (0, 1) or b2 not in (0, 1):
             raise ValueError("convention bits must be 0 or 1")
-        self.b1 = b1
-        self.b2 = b2
+        self.b1, self.b2 = b1, b2
 
     def __repr__(self):
         return f"HalfLConvention(b1={self.b1}, b2={self.b2})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HalfLConvention)
-            and (self.b1, self.b2) == (other.b1, other.b2)
-        )
+        return isinstance(other, HalfLConvention) and (self.b1, self.b2) == (other.b1, other.b2)
 
 
 DEFAULT_CONVENTION = HalfLConvention(1, 1)
@@ -800,9 +801,7 @@ def half_l_level(n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactSca
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    sign = 1
-    if n > 1 and (conv.b1 + conv.b2 * n) % 2 == 1:
-        sign = -1
+    sign = -1 if n > 1 and (conv.b1 + conv.b2 * n) % 2 else 1
     return q_power(Fraction(n, 2)) * sign
 
 

@@ -2,9 +2,11 @@
 brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the independent truncated
 Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
-rational-function fit, the Euclid-only scalar normal form and arithmetic,
-evaluation at q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
+rational-function fit, the dict-path scalar arithmetic (with its own
+cyclotomic product) and Euclid-only normal form, evaluation at
+q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -19,10 +21,9 @@ from stacky_volumes.scalar import (
     ZERO,
     CycNumber,
     ExactScalar,
-    _padd,
-    _pmul,
     _poly_divmod,
     _poly_gcd,
+    factor,
     half_l_level,
     half_l_power,
     q_power,
@@ -170,6 +171,79 @@ def expand(fit, order: int) -> Series:
     return Series(out)
 
 
+def padd(p1: dict, p2: dict) -> dict:
+    """The dict path's sum of polynomials on Fraction keys and CycNumber
+    coefficients: a key whose sum cancels is deleted."""
+    out = dict(p1)
+    for e, c in p2.items():
+        s = out.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def pneg(p: dict) -> dict:
+    return {e: -c for e, c in p.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def root_basis_expansion(a: Fraction) -> tuple:
+    """The root of unity with exponent a (mod 1) over the prime-power product
+    basis, ((basis exponent, +-1), ...) increasing: the Fraction-keyed
+    expansion the dict path used, independent of `scalar._expansion`."""
+    a = a % 1
+    d, k = a.denominator, a.numerator
+    parts = []
+    for p, ap in factor(d):
+        pp = p**ap
+        j = (k * pow(d // pp, -1, pp)) % pp
+        phi = pp - pp // p
+        if j < phi:
+            parts.append(((Fraction(j, pp), 1),))
+        else:
+            parts.append(tuple((Fraction(j - phi + i * (pp // p), pp), -1) for i in range(p - 1)))
+    acc: dict = {}
+    for combo in itertools.product(*parts):
+        e = sum((c for c, _ in combo), ZERO) % 1
+        acc[e] = acc.get(e, 0) + math.prod(s for _, s in combo)
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def cyc_mul(x: CycNumber, y: CycNumber) -> CycNumber:
+    """The dict path's CycNumber product: a rational factor keeps the other's
+    term order; else terms in the order they first appear over y's terms,
+    then x's, then each expansion, and zero sums dropped at the end."""
+    if x.is_rational():
+        return CycNumber({a: x.as_rational() * c for a, c in y.terms.items()})
+    if y.is_rational():
+        return cyc_mul(y, x)
+    out: dict = {}
+    for b, cb in y.terms.items():
+        for a, ca in x.terms.items():
+            for e, s in root_basis_expansion(a + b):
+                out[e] = out.get(e, ZERO) + ca * cb * s
+    return CycNumber(out)
+
+
+def pmul(p1: dict, p2: dict) -> dict:
+    """The dict path's product: every pair in order, accumulated as in padd."""
+    out: dict = {}
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            e = e1 + e2
+            c = cyc_mul(c1, c2)
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
 def euclid_normalize(num: dict, den: dict):
     """The scalar normal form by Euclid over Q(zeta)[t] alone, as the kernel
     computed it before its integer fast path: the oracle for
@@ -206,22 +280,23 @@ def euclid_normalize(num: dict, den: dict):
 
 
 def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    """a op b for op in "+-*/" by the dict path alone: _padd and _pmul over
+    """a op b for op in "+-*/" by the dict path alone: padd, pneg and pmul over
     CycNumber coefficients, then euclid_normalize, as the arithmetic computed
-    it before its integer path.  The oracle for values and key order both."""
+    it before its integer form.  The oracle for values, key order and every
+    coefficient's term order."""
     if op == "-":
-        op, b = "+", -b
+        op, b = "+", ExactScalar(pneg(b.num), b.den, _normalized=True)
     laurent = a.is_laurent() and b.is_laurent()
     if op == "+":
         if laurent:
-            return ExactScalar(_padd(a.num, b.num), None, _normalized=True)
-        num, den = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den)
+            return ExactScalar(padd(a.num, b.num), None, _normalized=True)
+        num, den = padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)
     elif op == "*":
         if laurent:
-            return ExactScalar(_pmul(a.num, b.num), None, _normalized=True)
-        num, den = _pmul(a.num, b.num), _pmul(a.den, b.den)
+            return ExactScalar(pmul(a.num, b.num), None, _normalized=True)
+        num, den = pmul(a.num, b.num), pmul(a.den, b.den)
     else:
-        num, den = _pmul(a.num, b.den), _pmul(a.den, b.num)
+        num, den = pmul(a.num, b.den), pmul(a.den, b.num)
     return ExactScalar(*euclid_normalize(num, den), _normalized=True)
 
 

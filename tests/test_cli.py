@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stacky_volumes
-from stacky_volumes.cli import run
+from stacky_volumes.cli import _scalar_report, run
+from stacky_volumes.scalar import q_power, root_of_unity
 
 
 def run_cli(args, tmp_path=None, input_obj=None):
@@ -404,6 +410,8 @@ ONE = [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]
     {"element": [1], "level": 1, "value": "one"},
     {"element": [1], "level": 1, "value": {"num": ONE, "den": []}},
     {"element": [1], "level": 1, "value": [{"zeta": "0", "qexp": "0", "coeff": ["1/0"]}]},
+    {"element": [1], "level": 1, "value": [{"zeta": "0", "qexp": float("inf"), "coeff": ["1"]}]},
+    {"element": [1], "level": 1, "value": [{"zeta": float("nan"), "qexp": "0", "coeff": ["1"]}]},
 ])
 def test_plethystic_bad_entry_exits_2(tmp_path, capsys, entry):
     code, err = run_error(tmp_path, capsys, "plethystic",
@@ -429,3 +437,147 @@ def test_delta_mode_flag_overrides_file_mode(tmp_path):
                            {"m": 1, "s": 2, "r": 4, "mode": "differences"})
     assert code == 0
     assert "orbits" in report and "differences" not in report
+
+
+def _term(zeta, qexp, *coeffs):
+    return {"zeta": zeta, "qexp": qexp, "coeff": list(coeffs)}
+
+
+def _one_value(value, grade=4, levels=1):
+    return {"op": "log", "grade": grade, "levels": levels,
+            "values": [{"element": [1], "level": 1, "value": value}]}
+
+
+@pytest.mark.parametrize("params, bound", [
+    # empty values ran 25 s, then ran out of memory under a 2 GB limit
+    ({"op": "log", "grade": 3000, "levels": 3000, "values": []}, "level budget of 10,000"),
+    # a single zeta_1009^1008 took 38 s; its conductor is not even factored
+    (_one_value([_term("1008/1009", "0", "1")], grade=2), "conductor bound of 120"),
+    (_one_value([_term("1/3", "0", "1"), _term("1/4", "0", "1"), _term("1/11", "0", "1")]),
+     "conductor bound of 120"),
+    # Euclid over Q(zeta_3)[t]: over a minute at grade 4 with 12-digit coefficients
+    (_one_value({"num": [_term("1/3", "0", "1")],
+                 "den": [_term("0", "2", "1"), _term("0", "1", "1000000000000")]}),
+     "conductor bound of 2 for values with denominators"),
+    # den q^100000 - 1 took 29.6 s
+    (_one_value({"num": [_term("0", "0", "1")],
+                 "den": [_term("0", "100000", "1"), _term("0", "0", "-1")]}), "span budget"),
+    (_one_value({"num": [_term("0", "1/1000000007", "1")],
+                 "den": [_term("0", "1/1000000009", "1"), _term("0", "0", "-1")]}), "span budget"),
+    # Fraction would build a number of a billion digits
+    (_one_value([_term("0", "1e999999999", "1")]), "decimal exponent"),
+])
+def test_plethystic_over_a_bound_exits_2_within_a_second(tmp_path, capsys, params, bound):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, "plethystic", params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert bound in err["error"]["message"]
+
+
+def test_input_number_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    # json raises a plain ValueError for an integer of more than 4300 digits
+    path = tmp_path / "in.json"
+    path.write_text('{"op": "log", "values": [{"element": [1], "level": 1, "value": '
+                    '[{"zeta": "0", "qexp": "0", "coeff": [' + "7" * 5000 + ']}]}]}')
+    assert run(["plethystic", "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaViolation"
+
+
+def test_plethystic_one_term_denominators_pass_the_guards(tmp_path):
+    # dividing by zeta_4 q^2 or by 1/2 leaves a Laurent value, with no gcd to take
+    code, report = run_cli(["plethystic"], tmp_path, _one_value(
+        {"num": [_term("1/3", "0", "1")], "den": [_term("1/4", "2", "1/2")]}, grade=2))
+    assert code == 0
+    assert report["values"][0]["display"] == "(-2*z[7/12])*q^-2"
+
+
+def test_scalar_report_decides_real_exactly():
+    # zeta_4 q^-40 at q = 5: the imaginary part 5^-40 is far below 1e-12, but
+    # the value is not fixed by complex conjugation
+    z = root_of_unity(Fraction(1, 4)) * q_power(-40)
+    value = _scalar_report(z, 5)["value_at_q"]
+    assert isinstance(value, list) and abs(value[1] / 5.0**-40 - 1) < 1e-12
+    # zeta_8 - zeta_8^3 = sqrt(2) is real, although its basis terms are not
+    sqrt2 = root_of_unity(Fraction(1, 8)) - root_of_unity(Fraction(3, 8))
+    assert sqrt2.is_real() and abs(_scalar_report(sqrt2, 5)["value_at_q"] - 2**0.5) < 1e-15
+    third = root_of_unity(Fraction(1, 3))
+    assert not third.is_real() and (third + root_of_unity(Fraction(2, 3))).is_real()
+    assert not (third / (q_power(1) - 2)).is_real()
+    assert ((third + third * third) / (q_power(1) - 2)).is_real()
+    assert _scalar_report(q_power(-1), 5)["value_at_q"] == 0.2
+
+
+# -- a hypothesis fuzz test of plethystic values ---------------------------------
+
+_ZETA = st.builds("{}/{}".format, st.integers(-13, 13), st.sampled_from([1, 2, 3, 4, 8, 12, 15]))
+_QEXP = st.one_of(st.builds("{}/{}".format, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                  st.sampled_from(["100000", "-3000000", "1/1000000000000000003"]))
+# large numerators and denominators
+_COEFF = st.one_of(st.integers(-4, 4).filter(bool).map(str),
+                   st.builds("{}/{}".format, st.integers(-10**25, 10**25), st.integers(1, 10**25)))
+
+
+def _values(zeta):
+    poly = st.lists(st.fixed_dictionaries({"zeta": zeta, "qexp": _QEXP,
+                                           "coeff": st.lists(_COEFF, min_size=1, max_size=2)}),
+                    min_size=1, max_size=3)
+    return st.lists(st.fixed_dictionaries({
+        "element": st.integers(1, 3).map(lambda i: [i]), "level": st.integers(1, 3),
+        "value": st.one_of(poly, st.fixed_dictionaries({"num": poly, "den": poly}))}),
+        max_size=4)
+
+
+# malformed or out-of-bound replacements for one field
+_ODD = st.sampled_from([
+    None, True, [], {}, "", "x", "1/0", "--1", "nan", "inf", "1e99999999", "1e-99999999",
+    "0.25", "1e3", " 2 ", "1_0", float("inf"), float("nan"), -0.5, 10**30, "1/121",
+    "1/100000000000000000039", "REMOVE"])
+
+
+def _paths(obj, path=()):
+    """Every dict key and list index under obj, as paths from it."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, path + (k,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(op=st.sampled_from(["sym", "log", "log_direct"]), grade=st.integers(1, 4),
+       data=st.data())
+def test_plethystic_values_fuzz(tmp_path_factory, op, grade, data):
+    """Any values give exit 0, 1 or 2 with a JSON object, within a second:
+    well-formed ones, with rational or cyclotomic coefficients, and ones with
+    one field replaced by a malformed or out-of-bound one, or removed."""
+    zeta = data.draw(st.sampled_from([st.sampled_from(["0", "1/2", "-1/2"]), _ZETA]))
+    params = {"op": op, "grade": grade, "values": data.draw(_values(zeta))}
+    if data.draw(st.booleans()):
+        *parent, key = data.draw(st.sampled_from(list(_paths(params))))
+        node = params
+        for k in parent:
+            node = node[k]
+        odd = data.draw(_ODD)
+        if odd == "REMOVE" and isinstance(node, dict):
+            del node[key]
+        else:
+            node[key] = odd
+    path = tmp_path_factory.getbasetemp() / "plethystic-fuzz.json"
+    path.write_text(json.dumps(params))
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(["plethystic", "--input", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_normalize, reference_arith
+from helpers import euclid_normalize, padd, pmul, reference_arith
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -15,8 +15,6 @@ from stacky_volumes.scalar import (
     CycNumber,
     ExactScalar,
     HalfLConvention,
-    _normalize,
-    _pmul,
     format_rat,
     half_l_level,
     q_power,
@@ -254,6 +252,12 @@ def _no_euclid(*_):
     raise AssertionError("Euclid ran on rational coefficients")
 
 
+def _normalize(num, den):
+    """The normal form of num / den as the constructor makes it, as dicts."""
+    s = ExactScalar(num, den)
+    return s.num, s.den
+
+
 def _check_normal_form(num, den, n):
     """_normalize(num, den) against the Euclid oracle (values and key order)
     and against sympy's cancel (the same reduced fraction)."""
@@ -283,7 +287,7 @@ def _rational_fractions(draw, n, rat=None):
     num, den = poly(), poly()
     for k in draw(st.lists(st.integers(1, 2 * n), max_size=3)):
         shared = _qpoly({k: 1, 0: draw(st.sampled_from([-1, 1]))}, n)
-        num, den = _pmul(num, shared), _pmul(den, shared)
+        num, den = pmul(num, shared), pmul(den, shared)
     return num, den
 
 
@@ -311,9 +315,9 @@ def test_normalize_cancels_cyclotomic_gcd_large_coefficients(monkeypatch):
     # t = q^(1/6); gcd = Phi_3(t) * Phi_4(t) * Phi_12(t)
     a = _qpoly({0: -7, 1: 3, 2: 10**6}, 6)
     b = _qpoly({3: 2, 0: -5 * 10**6 + 1}, 6)
-    g = _pmul(_pmul(_qpoly({2: 1, 1: 1, 0: 1}, 6), _qpoly({0: 1, 2: 1}, 6)),
-              _qpoly({4: 1, 2: -1, 0: 1}, 6))
-    out_num, out_den = _check_normal_form(_pmul(a, g), _pmul(b, g), 6)
+    g = pmul(pmul(_qpoly({2: 1, 1: 1, 0: 1}, 6), _qpoly({0: 1, 2: 1}, 6)),
+             _qpoly({4: 1, 2: -1, 0: 1}, 6))
+    out_num, out_den = _check_normal_form(pmul(a, g), pmul(b, g), 6)
     assert list(out_num) == [F(2, 6), F(1, 6), 0]
     assert list(out_den) == [F(3, 6), 0]
     assert out_den[0] == CycNumber.from_rational(1)
@@ -323,8 +327,8 @@ def test_normalize_huge_coefficients_and_shift(monkeypatch):
     monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
     big = 10**40 + 7
     g = _qpoly({0: -1, 3: 1}, 2)
-    num = _pmul(_qpoly({-1: big, 4: F(1, big)}, 2), g)
-    den = _pmul(_qpoly({1: 3, 2: -big}, 2), g)
+    num = pmul(_qpoly({-1: big, 4: F(1, big)}, 2), g)
+    den = pmul(_qpoly({1: 3, 2: -big}, 2), g)
     _check_normal_form(num, den, 2)
 
 
@@ -346,7 +350,7 @@ def test_normalize_cyclotomic_coefficients_use_euclid(monkeypatch):
 def test_normalize_falls_back_to_euclid_when_gcdheu_gives_up(monkeypatch):
     monkeypatch.setattr(scalar, "_zz_heugcd", lambda f, g: None)
     g = _qpoly({0: 1, 1: 1, 2: 1}, 2)
-    _check_normal_form(_pmul(_qpoly({0: 5, 3: 1}, 2), g), _pmul(_qpoly({1: 2, 0: -3}, 2), g), 2)
+    _check_normal_form(pmul(_qpoly({0: 5, 3: 1}, 2), g), pmul(_qpoly({1: 2, 0: -3}, 2), g), 2)
 
 
 @pytest.mark.parametrize("case", ["fractions", "unit_coefficients", "laurent", "root_of_unity",
@@ -393,3 +397,95 @@ def test_arithmetic_reinserts_cancelled_keys_last():
     got, want = a * b, reference_arith("*", a, b)
     assert got == want and list(got.num.items()) == list(want.num.items())
     assert list(got.num) == [F(2), F(3), F(-1), F(1)]
+
+
+# -- the integer form against the dict path ---------------------------------------
+
+_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12, 15]
+
+
+@st.composite
+def _mixed_scalars(draw, conductors):
+    """A value with roots of unity of the given orders, exponents in (1/n)Z
+    for one n in 1, 2, 3, and, at times, a rational denominator.  Exponents
+    and coefficients are few, so that running sums cancel and come back."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    terms = [{F(k, n): CycNumber.root(F(j, m)).scale(c)}
+             for k, c, m, j in draw(st.lists(st.tuples(
+                 st.integers(-2, 2), st.sampled_from([-1, 1]), st.sampled_from(conductors),
+                 st.integers(0, 14)), min_size=1, max_size=4))]
+    num = {}
+    for t in terms:
+        num = padd(num, t)
+    if draw(st.integers(0, 3)):
+        return ExactScalar(num)
+    n = draw(st.sampled_from([1, 2, 3]))
+    return ExactScalar(num, _qpoly({n: 1, 0: draw(st.sampled_from([-1, 1, 2]))}, n))
+
+
+def _reference_pow(a, k):
+    """a ** k by reference_arith, in the square-and-multiply order of __pow__."""
+    if k < 0:
+        return _reference_pow(reference_arith("/", ExactScalar.one(), a), -k)
+    out, base = ExactScalar.one(), a
+    while k:
+        if k & 1:
+            out = reference_arith("*", out, base)
+        base = reference_arith("*", base, base)
+        k >>= 1
+    return out
+
+
+def _terms_in_order(x):
+    return [[(e, list(c.terms.items())) for e, c in p.items()] for p in (x.num, x.den)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(op=st.sampled_from(["+", "-", "*", "/", "**"]), k=st.integers(-2, 3), data=st.data())
+def test_integer_form_matches_dict_path_mixed_conductors(op, k, data):
+    """+, -, *, / and ** over mixed conductors and exponent denominators
+    against the dict path: equal values, the same q-exponent keys in the same
+    order, and every coefficient's basis terms in the same order."""
+    conductors = data.draw(st.sampled_from([[1, 2], [3], [4, 8], [5], _CONDUCTORS]))
+    a, b = data.draw(_mixed_scalars(conductors)), data.draw(_mixed_scalars(conductors))
+    if op == "**":
+        if k < 0 and a.is_zero():
+            return
+        got, want = a ** k, _reference_pow(a, k)
+    else:
+        if op == "/" and b.is_zero():
+            return
+        got = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}[op](a, b)
+        want = reference_arith(op, a, b)
+    assert got == want and got.key() == want.key()
+    assert _terms_in_order(got) == _terms_in_order(want)
+
+
+def test_cyclotomic_arithmetic_reinserts_cancelled_keys_last():
+    # the q^1 sum cancels at the second row and comes back at the third, as
+    # in test_arithmetic_reinserts_cancelled_keys_last, with coefficients in
+    # Z[zeta_12]; the zeta_4 zeta_3 products expand over two basis roots
+    z3, z4 = root_of_unity(F(1, 3)), root_of_unity(F(1, 4))
+    a = ExactScalar(_qpoly({0: 1, 1: 1, -1: 1}, 1)) * z3
+    b = ExactScalar(_qpoly({1: 1, 0: -1, 2: 1}, 1)) * (z4 + z3 * z3)
+    got, want = a * b, reference_arith("*", a, b)
+    assert got == want and _terms_in_order(got) == _terms_in_order(want)
+    assert list(got.num) == [F(2), F(3), F(-1), F(1)]
+
+
+def test_equal_values_from_different_histories_encode_alike():
+    one = ExactScalar.one()
+    pairs = [
+        (root_of_unity(F(1, 4)) * root_of_unity(F(1, 4)), -one),
+        (q_power(F(1, 2)) * q_power(F(1, 2)), q_power(1)),
+        (root_of_unity(F(1, 12)) ** 4, root_of_unity(F(1, 3))),
+        (root_of_unity(F(1, 6)) ** 3, -one),
+        ((q_power(F(1, 2)) * root_of_unity(F(1, 12)) ** 4 + 1) * q_power(F(1, 2)),
+         q_power(1) * root_of_unity(F(1, 3)) + q_power(F(1, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert a.key() == b.key() and hash(a) == hash(b) and a.to_json() == b.to_json()
+        assert str(a) == str(b)
+    assert len({a for pair in pairs for a in pair}) == 4
