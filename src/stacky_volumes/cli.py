@@ -45,12 +45,12 @@ _BPS_BUDGET = 2 * 10**4
 # (10^4: 0.45 s; 10^6: 40 s).  Coefficient products over Z[zeta_M] cost up
 # to phi(M)^2 basis products, M the lcm of the roots' orders: the benchmark
 # has M = 12, and values zeta_113^112 at every point of grade <= 6 of N^2,
-# 2 levels, take 17 s.  Denominators with roots of unity of order > 2 reduce
-# by Euclid over Q(zeta)[t], whose coefficients swell: two such values at
-# grade 4 take 7.7 s, or over 60 s with 12-digit coefficients.  A rational
-# denominator's gcd costs about (grade * span)^2, span the exponent range in
-# steps of q^(1/N): den q^S - 1 at grade 4 takes 0.3 s at S = 10^3, 1.9 s at
-# 10^4 and 142 s at 10^5.
+# 2 levels, take 17 s.  A cyclotomic denominator is cleared by its norm, of
+# phi(M) times its degree: with the bound lifted, 1/(q + zeta_113^112) at
+# grade 2 takes 20 s (0.2 s by Euclid over Q(zeta)[t]) and, at grade 4,
+# 1/(q^1250 - zeta_12) 1.2 s (0.01 s).  A rational den's gcd costs about
+# (grade * span)^2, span the exponent range in steps of q^(1/N): den q^S - 1
+# at grade 4 takes 0.3 s at S = 10^3, 1.9 s at 10^4 and 142 s at 10^5.
 _LEVEL_BUDGET = 10**4
 _CONDUCTOR_MAX = 120
 _CONDUCTOR_DEN_MAX = 2
@@ -125,8 +125,8 @@ def _cmd_ehrhart(params):
         raise SchemaViolation(f"{key!r} must be a nonempty list of nonempty rows of one length"
                               " ('A' with one entry of 'b' per row)")
     try:
-        rows = [[Fraction(str(c)) for c in v] for v in rows]
-        rhs = [Fraction(str(c)) for c in rhs]
+        rows = [[_fraction(str(c)) for c in v] for v in rows]
+        rhs = [_fraction(str(c)) for c in rhs]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaViolation(f"malformed rational in {key!r} or 'b': {exc}") from exc
     poly = (eh.RationalPolytope.from_vertices(rows) if key == "vertices"

@@ -6,8 +6,9 @@ are cyclotomic numbers, on the prime-power product basis: the roots of unity
 zeta^(k/d) whose component exponent at every prime power p^a dividing d is
 < phi(p^a).  The basis of Q(zeta_d) sits inside that of Q(zeta_M) for d | M,
 so the normal form never depends on the conductor history.  A scalar keeps
-one integer form (see "The integer form" below); the dicts of CycNumber
-coefficients are a view built for output and the Euclid fallback only.
+one integer form (see "The integer form" below), and every value reduces
+over the integers; the dicts of CycNumber coefficients are a view built for
+output only.
 
 q never gets a numeric value during exact computation; `eval_numeric`
 substitutes q -> q0 (positive real root for fractional exponents) and
@@ -124,39 +125,12 @@ class CycNumber:
     def __sub__(self, other: "CycNumber") -> "CycNumber":
         return self + (-other)
 
-    def __mul__(self, other: "CycNumber") -> "CycNumber":
-        m = math.lcm(*(a.denominator for a in itertools.chain(self.terms, other.terms)))
-        prod = _vmul(self._vec(m), other._vec(m), m)
-        return CycNumber({Fraction(j, m): c for j, c in prod.items()})
-
     def _vec(self, m: int) -> dict:
         return {a.numerator * (m // a.denominator): c for a, c in self.terms.items()}
 
     def scale(self, c) -> "CycNumber":
         c = Fraction(c)
         return CycNumber({a: c * d for a, d in self.terms.items()})
-
-    def galois(self, j: int) -> "CycNumber":
-        """Apply the automorphism zeta -> zeta^j (j coprime to the conductor)."""
-        m = math.lcm(*(a.denominator for a in self.terms))
-        out: dict[int, Fraction] = {}
-        for a, c in self._vec(m).items():
-            for e, s in _expansion(j * a, m):
-                out[e] = out.get(e, ZERO) + c * s
-        return CycNumber({Fraction(e, m): c for e, c in out.items()})
-
-    def inv(self) -> "CycNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic division by zero")
-        if self.is_rational():
-            return CycNumber.from_rational(1 / self.as_rational())
-        m = math.lcm(*(a.denominator for a in self.terms))
-        prod = CycNumber.from_rational(1)
-        for j in range(2, m):
-            if math.gcd(j, m) == 1:
-                prod = prod * self.galois(j)
-        norm = (self * prod).as_rational()
-        return prod.scale(Fraction(1) / norm)
 
     def eval_complex(self) -> complex:
         return sum((float(c) * cmath.exp(2j * math.pi * float(a))
@@ -179,57 +153,7 @@ class CycNumber:
             else f"{format_rat(c)}*z[{format_rat(a)}]" for a, c in sorted(self.terms.items()))
 
 
-_CYC_ONE = CycNumber.from_rational(1)
-_DEN_ONE = {ZERO: _CYC_ONE}
-
-
-def _poly_divmod(num: dict[int, CycNumber], den: dict[int, CycNumber]):
-    """Long division of genuine (non-negative exponent) polynomials."""
-    dd = max(den)
-    lc_inv = den[dd].inv()
-    rem = dict(num)
-    quo: dict[int, CycNumber] = {}
-    while rem and max(rem) >= dd:
-        dn = max(rem)
-        f = rem[dn] * lc_inv
-        quo[dn - dd] = f
-        for e, c in den.items():
-            k = e + dn - dd
-            s = rem.get(k, CycNumber()) - f * c
-            if s.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = s
-    return quo, rem
-
-
-def _poly_gcd(a: dict[int, CycNumber], b: dict[int, CycNumber]) -> dict[int, CycNumber]:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lc = a[max(a)].inv()
-    return {e: c * lc for e, c in a.items()}
-
-
-def _euclid_normal(num: dict, den: dict):
-    """The normal form of num / den (num nonzero) on Fraction keys and
-    CycNumber coefficients: directly for a one-term denominator, else with
-    the gcd by Euclid over Q(zeta)[t], for cyclotomic coefficients and when
-    GCDHEU gives up."""
-    if len(den) == 1:
-        (ed, cd), = den.items()
-        inv = cd.inv()
-        return {e - ed: c * inv for e, c in num.items()}, _DEN_ONE
-    n = math.lcm(*(e.denominator for e in itertools.chain(num, den)))
-    vn, vd = min(num), min(den)
-    ni = {int((e - vn) * n): c for e, c in num.items()}
-    di = {int((e - vd) * n): c for e, c in den.items()}
-    if max(g := _poly_gcd(ni, di)) > 0:
-        (ni, r1), (di, r2) = _poly_divmod(ni, g), _poly_divmod(di, g)
-        assert not r1 and not r2
-    c0 = di[min(di)].inv()
-    return ({Fraction(e, n) + vn - vd: c * c0 for e, c in ni.items()},
-            {Fraction(e, n): c * c0 for e, c in di.items()})
+_DEN_ONE = {ZERO: CycNumber.from_rational(1)}
 
 
 def _zz_eval(f: list[int], x: int) -> int:
@@ -280,6 +204,23 @@ def _zz_heugcd(f: list[int], g: list[int]):
             return h, cf, cg
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _zz_prsgcd(f: list[int], g: list[int]):
+    """(h, f/h, g/h) for h = gcd(f, g) of primitive f, g in Z[t] by the
+    primitive pseudo-remainder sequence: the fallback when GCDHEU gives up."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, r = r[-1], [x * b[-1] for x in r]
+            for i, y in enumerate(b, len(r) - len(b)):
+                r[i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        content = math.gcd(*r)
+        a, b = b, [x // content for x in r]
+    return a, _zz_div(f, a), _zz_div(g, a)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +361,11 @@ def _zz_normalize(n: int, num: dict, den: dict, s: Fraction):
     """The form of s * num / den for integer-coefficient num and den, den of
     more than one term: the denominator's lowest term becomes 1, and terms
     keep the caller's order when the gcd is 1, else come in descending
-    order.  The gcd is GCDHEU's; None when it gives up."""
+    order.  The gcd is GCDHEU's, or the PRS fallback's when it gives up."""
     vn, vd = min(num), min(den)
     k = math.gcd(n, *num, *den)
     (f, cf), (g, cg) = _zz_dense(num, vn, k), _zz_dense(den, vd, k)
-    res = _zz_heugcd(f, g)
-    if res is None:
-        return None
-    h, qf, qg = res
+    h, qf, qg = _zz_heugcd(f, g) or _zz_prsgcd(f, g)
     if len(h) > 1:
         s = s * cf / cg
         num = {vn + i * k: c for i, c in reversed(list(enumerate(qf))) if c}
@@ -439,22 +377,87 @@ def _zz_normalize(n: int, num: dict, den: dict, s: Fraction):
             *_reduced({e - vd: c * sign for e, c in den.items()}, abs(low), 1))
 
 
+def _exquo(p: dict, h: list[int], k: int, ring) -> dict:
+    """p / h(t^k) for h in Z[t] dividing the zz poly p over Z[zeta_m], by
+    long division from the top term as the dict path divided: quotient keys
+    descending, and each coefficient's terms in its order."""
+    hp = {i * k: {0: -b} for i, b in enumerate(h) if b}
+    dh, quo = (len(h) - 1) * k, {}
+    while p:
+        top = max(p)
+        f = quo[top - dh] = {j: v // h[-1] for j, v in p[top].items()}
+        p = _zz_add(p, _zz_mul(hp, {top - dh: f}, ring), ring)
+    return quo
+
+
+def _cyc_normalize(n: int, m: int, num: dict, den: dict, s: Fraction):
+    """_zz_normalize for num over Z[zeta_m]: the gcd is that of den and
+    every basis component of num, taken in turn, and num is divided by it
+    in the dict path's order."""
+    ring = _ring(m)
+    vn, vd = min(num), min(den)
+    k = math.gcd(n, *num, *den)
+    g, cg = _zz_dense(den, vd, k)
+    h = g
+    for j in {j for c in num.values() for j in c}:
+        f = _zz_dense({e: c[j] for e, c in num.items() if j in c}, vn, k)[0]
+        h = (_zz_heugcd(h, f) or _zz_prsgcd(h, f))[0]
+    if len(h) > 1:
+        s /= cg
+        num = _exquo(num, h, k, ring)
+        den = {vd + i * k: c for i, c in reversed(list(enumerate(_zz_div(g, h)))) if c}
+    low = den[vd]
+    s /= low
+    return (n, m, *_reduced(_zz_mul(num, {-vd: {0: s.numerator}}, ring), s.denominator, m),
+            *_reduced({e - vd: {0: c if low > 0 else -c} for e, c in den.items()}, abs(low), m))
+
+
+def _conj(c: dict, k: int, m: int) -> dict:
+    """sigma_k(c): zeta_m -> zeta_m^k on the basis vector c of Z[zeta_m]."""
+    out: dict = {}
+    for j, v in c.items():
+        for e, s in _expansion(j * k, m):
+            out[e] = out.get(e, 0) + v * s
+    return {e: v for e, v in out.items() if v}
+
+
+def _conjugates(p: dict, m: int) -> dict:
+    """The product of sigma_k(p) over k in (Z/c)^x, k != 1, in increasing
+    order, c the conductor of p's coefficients: p times it is p's norm."""
+    c = m // math.gcd(m, *(j for v in p.values() for j in v))
+    out = _CYC_ZZ_ONE
+    for k in range(2, c):
+        if math.gcd(k, c) == 1:
+            out = _zz_mul(out, {e: _conj(v, k, m) for e, v in p.items()}, _ring(m))
+    return out
+
+
 def _normal(n: int, m: int, num: dict, nd: int, den: dict, dd: int):
-    """The normal form of (num / nd) / (den / dd): over integers for
-    integer coefficients or a one-term integer denominator, else by
-    _euclid_normal on the dict view."""
-    if m > 1 and _rational(num) and _rational(den):
-        num, den, m = {e: c[0] for e, c in num.items()}, {e: c[0] for e, c in den.items()}, 1
+    """The normal form of (num / nd) / (den / dd), over the integers.  A
+    cyclotomic den is made rational by its conjugates, both sides times
+    them; when it is one number c times a rational polynomial, num / (den /
+    c) is reduced first and then multiplied by 1 / c, as the dict path did."""
     if not num:
         return _ZERO_FORM
     ring = _ring(m)
-    if len(den) == 1 and (m == 1 or _rational(den)):
+    if m > 1:
+        if not _rational(den):
+            conj = _conjugates({0: den[min(den)]}, m)
+            if _rational(d := _zz_mul(den, conj, ring)):
+                n, k, num, nd, den, dd = _normal(n, m, num, nd, d, dd)
+                return _normal(n, m, _zz_mul(_lift(num, 1, m // k, k), conj, ring), nd,
+                               _lift(den, 1, m // k, k), dd)
+            num, den = _zz_mul(num, conj := _conjugates(den, m), ring), _zz_mul(den, conj, ring)
+        den = {e: c[0] for e, c in den.items()}
+        if _rational(num):
+            num, m, ring = {e: c[0] for e, c in num.items()}, 1, _ZZ
+    if len(den) == 1:
         (vd, c), = den.items()
-        s = Fraction(dd, nd * (c if m == 1 else c[0]))
+        s = Fraction(dd, nd * c)
         return _laurent(n, m, _zz_mul(num, {-vd: ring[2](s.numerator)}, ring), s.denominator)
-    if m == 1 and (form := _zz_normalize(n, num, den, Fraction(dd, nd))):
-        return form
-    return _int_form(*_euclid_normal(_poly_view(num, n, m, nd), _poly_view(den, n, m, dd)))
+    if m == 1:
+        return _zz_normalize(n, num, den, Fraction(dd, nd))
+    return _cyc_normalize(n, m, num, den, Fraction(dd, nd))
 
 
 def _int_form(num: dict, den: dict):
@@ -490,9 +493,9 @@ def _new(form) -> "ExactScalar":
 class ExactScalar:
     """Element of the field Q(roots of unity)(q^(1/N)), canonically normalized.
 
-    Normal form: value = num/den where den is a polynomial in the smallest
-    fractional power of q occurring, with nonzero lowest term normalized to 1,
-    and gcd(num shifted to valuation 0, den) = 1.  The numerator absorbs any
+    Normal form: value = num/den where den is the least polynomial with
+    rational coefficients, in a fractional power t of q, that clears the
+    value, with lowest term t^0 normalized to 1.  The numerator absorbs any
     overall q-power shift as fractional exponents.  Uniqueness of the normal
     form makes == and hash mathematically meaningful.
 
@@ -643,11 +646,8 @@ class ExactScalar:
 
     def is_real(self) -> bool:
         """True when the value is fixed by zeta -> zeta^-1, the complex
-        conjugation, so that it is real at every q > 0."""
-        if self._m == 1:
-            return True
-        conj = ({e: c.galois(-1) for e, c in p.items()} for p in (self.num, self.den))
-        return ExactScalar(*conj, _normalized=True) == self
+        conjugation: real at every q > 0.  Its den is rational, so num is."""
+        return self._m == 1 or all(_conj(c, -1, self._m) == c for c in self._num.values())
 
     def substitute_q(self, q0) -> "ExactScalar":
         """Exactly substitute the integer part of every q-power by q0 ** int.
@@ -677,8 +677,7 @@ class ExactScalar:
         if self.is_laurent():
             return _poly_str(self.num)
         num, den = self.num, self.den
-        lead = den[max(den)]
-        if lead.is_rational() and lead.as_rational() < 0:
+        if den[max(den)].as_rational() < 0:
             num, den = ({e: -c for e, c in p.items()} for p in (num, den))
         return f"({_poly_str(num)}) / ({_poly_str(den)})"
 

@@ -3,8 +3,9 @@ brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the independent truncated
 Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
 rational-function fit, the dict-path scalar arithmetic (with its own
-cyclotomic product) and Euclid-only normal form, evaluation at
-q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
+cyclotomic product, Galois action and inverse) and the normal form by
+Euclid over Q(zeta)[t], evaluation at q^(1/2) = t0, and the per-prefix
+dilated lattice-point count."""
 
 import functools
 import itertools
@@ -21,8 +22,8 @@ from stacky_volumes.scalar import (
     ZERO,
     CycNumber,
     ExactScalar,
-    _poly_divmod,
-    _poly_gcd,
+    _expansion,
+    _vmul,
     factor,
     half_l_level,
     half_l_power,
@@ -244,6 +245,74 @@ def pmul(p1: dict, p2: dict) -> dict:
     return out
 
 
+def cyc_times(x: CycNumber, y: CycNumber) -> CycNumber:
+    """x * y through `scalar._vmul` on integer basis vectors, in the term
+    order `CycNumber` multiplied in (scaling by positive integers moves no
+    zero sum): the fast product of the Euclid oracle below."""
+    for r, v in ((y, x), (x, y)):  # a rational factor keeps the other's order
+        if r.is_rational():
+            return v.scale(r.as_rational())
+    m = math.lcm(*(a.denominator for a in itertools.chain(x.terms, y.terms)))
+    d = [math.lcm(*(c.denominator for c in z.terms.values())) for z in (x, y)]
+    v = [{j: c.numerator * (dz // c.denominator) for j, c in z._vec(m).items()}
+         for z, dz in zip((x, y), d)]
+    return CycNumber({Fraction(j, m): Fraction(c, d[0] * d[1])
+                      for j, c in _vmul(*v, m).items()})
+
+
+def cyc_galois(x: CycNumber, j: int) -> CycNumber:
+    """The automorphism zeta -> zeta^j (j coprime to the conductor) applied
+    to x, basis terms in the order they first appear."""
+    m = math.lcm(*(a.denominator for a in x.terms))
+    out: dict = {}
+    for a, c in x._vec(m).items():
+        for e, s in _expansion(j * a, m):
+            out[e] = out.get(e, ZERO) + c * s
+    return CycNumber({Fraction(e, m): c for e, c in out.items()})
+
+
+def cyc_inv(x: CycNumber) -> CycNumber:
+    """1 / x as the product of the other conjugates over the norm."""
+    if x.is_zero():
+        raise ZeroDivisionError("cyclotomic division by zero")
+    if x.is_rational():
+        return CycNumber.from_rational(1 / x.as_rational())
+    m = math.lcm(*(a.denominator for a in x.terms))
+    prod = _CYC_ONE
+    for j in range(2, m):
+        if math.gcd(j, m) == 1:
+            prod = cyc_times(prod, cyc_galois(x, j))
+    return prod.scale(1 / cyc_times(x, prod).as_rational())
+
+
+def poly_divmod(num: dict, den: dict):
+    """Long division over Q(zeta) of polynomials {exponent >= 0: CycNumber}."""
+    dd = max(den)
+    lc_inv = cyc_inv(den[dd])
+    rem = dict(num)
+    quo: dict = {}
+    while rem and max(rem) >= dd:
+        dn = max(rem)
+        f = cyc_times(rem[dn], lc_inv)
+        quo[dn - dd] = f
+        for e, c in den.items():
+            k = e + dn - dd
+            s = rem.get(k, CycNumber()) - cyc_times(f, c)
+            if s.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = s
+    return quo, rem
+
+
+def poly_gcd(a: dict, b: dict) -> dict:
+    """The monic gcd over Q(zeta)[t] by Euclid's algorithm."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    lc = cyc_inv(a[max(a)])
+    return {e: cyc_times(c, lc) for e, c in a.items()}
+
+
 def euclid_normalize(num: dict, den: dict):
     """The scalar normal form by Euclid over Q(zeta)[t] alone, as the kernel
     computed it before its integer fast path: the oracle for
@@ -256,8 +325,8 @@ def euclid_normalize(num: dict, den: dict):
         return {}, {ZERO: _CYC_ONE}
     if len(den) == 1:
         (ed, cd), = den.items()
-        inv = cd.inv()
-        return {e - ed: c * inv for e, c in num.items()}, {ZERO: _CYC_ONE}
+        inv = cyc_inv(cd)
+        return {e - ed: cyc_times(c, inv) for e, c in num.items()}, {ZERO: _CYC_ONE}
     n = 1
     for e in itertools.chain(num, den):
         n = n * e.denominator // math.gcd(n, e.denominator)
@@ -266,16 +335,16 @@ def euclid_normalize(num: dict, den: dict):
     vn, vd = min(ni), min(di)
     ni = {e - vn: c for e, c in ni.items()}
     di = {e - vd: c for e, c in di.items()}
-    g = _poly_gcd(ni, di)
+    g = poly_gcd(ni, di)
     if max(g) > 0:
-        ni, r = _poly_divmod(ni, g)
+        ni, r = poly_divmod(ni, g)
         assert not r
-        di, r = _poly_divmod(di, g)
+        di, r = poly_divmod(di, g)
         assert not r
-    c0 = di[min(di)].inv()
+    c0 = cyc_inv(di[min(di)])
     shift = Fraction(vn - vd, n)
-    num_out = {Fraction(e, n) + shift: c * c0 for e, c in ni.items()}
-    den_out = {Fraction(e, n): c * c0 for e, c in di.items()}
+    num_out = {Fraction(e, n) + shift: cyc_times(c, c0) for e, c in ni.items()}
+    den_out = {Fraction(e, n): cyc_times(c, c0) for e, c in di.items()}
     return num_out, den_out
 
 
@@ -315,7 +384,7 @@ def ev(x: ExactScalar, t0: int) -> ExactScalar:
     d = sub(x.den)
     if d.is_zero():
         raise ZeroDivisionError(f"pole at q^(1/2) = {t0}")
-    return ExactScalar({ZERO: sub(x.num) * d.inv()})
+    return ExactScalar({ZERO: cyc_times(sub(x.num), cyc_inv(d))})
 
 
 def reference_count_dilation(polytope, r: int) -> int:

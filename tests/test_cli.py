@@ -341,6 +341,8 @@ def test_q_above_bound_exits_2_within_a_second(tmp_path, capsys, command, params
     ({"A": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "b": ["0", "0", "0", "0"],
       "truncation": 10**9}, "prefix-grid budget"),
     ({"vertices": [["1/1000000007"], ["1"]]}, "prefix-grid budget"),
+    # Fraction would build a number of a hundred million digits
+    ({"vertices": [["0"], ["1e99999999"]]}, "decimal exponent"),
 ])
 def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, limit):
     previous = signal.signal(signal.SIGALRM, _too_slow)
@@ -455,7 +457,9 @@ def _one_value(value, grade=4, levels=1):
     (_one_value([_term("1008/1009", "0", "1")], grade=2), "conductor bound of 120"),
     (_one_value([_term("1/3", "0", "1"), _term("1/4", "0", "1"), _term("1/11", "0", "1")]),
      "conductor bound of 120"),
-    # Euclid over Q(zeta_3)[t]: over a minute at grade 4 with 12-digit coefficients
+    # a root of unity of order 3 over a denominator of two terms: the bound
+    # is 2 because a cyclotomic denominator is cleared by its norm, of
+    # phi(M) times its degree
     (_one_value({"num": [_term("1/3", "0", "1")],
                  "den": [_term("0", "2", "1"), _term("0", "1", "1000000000000")]}),
      "conductor bound of 2 for values with denominators"),

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_normalize, padd, pmul, reference_arith
+from helpers import euclid_normalize, ev, padd, pmul, pneg, reference_arith
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -234,6 +235,7 @@ def test_substitute_q():
 # -- the normal-form kernel against the Euclid oracle and sympy ---------------
 
 T = sympy.Symbol("t")
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _qpoly(coeffs, n):
@@ -248,8 +250,8 @@ def _sympy(p, n):
     return sympy.Poly.from_dict({(k - v,): c for k, c in terms.items()}, T, domain="QQ"), v
 
 
-def _no_euclid(*_):
-    raise AssertionError("Euclid ran on rational coefficients")
+def _no_fallback(*_):
+    raise AssertionError("GCDHEU gave up on rational coefficients")
 
 
 def _normalize(num, den):
@@ -297,12 +299,12 @@ def _rational_fractions(draw, n, rat=None):
 def test_normalize_matches_euclid_and_sympy(n, data):
     num, den = data.draw(_rational_fractions(n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalar, "_poly_gcd", _no_euclid)
+        mp.setattr(scalar, "_zz_prsgcd", _no_fallback)
         _check_normal_form(num, den, n)
 
 
 def test_normalize_gcd_one_keeps_key_order(monkeypatch):
-    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    monkeypatch.setattr(scalar, "_zz_prsgcd", _no_fallback)
     num = _qpoly({1: 3, 0: 10**7, 5: -2}, 2)
     den = _qpoly({2: 1, 0: -2}, 2)
     out_num, out_den = _check_normal_form(num, den, 2)
@@ -311,7 +313,7 @@ def test_normalize_gcd_one_keeps_key_order(monkeypatch):
 
 
 def test_normalize_cancels_cyclotomic_gcd_large_coefficients(monkeypatch):
-    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    monkeypatch.setattr(scalar, "_zz_prsgcd", _no_fallback)
     # t = q^(1/6); gcd = Phi_3(t) * Phi_4(t) * Phi_12(t)
     a = _qpoly({0: -7, 1: 3, 2: 10**6}, 6)
     b = _qpoly({3: 2, 0: -5 * 10**6 + 1}, 6)
@@ -324,7 +326,7 @@ def test_normalize_cancels_cyclotomic_gcd_large_coefficients(monkeypatch):
 
 
 def test_normalize_huge_coefficients_and_shift(monkeypatch):
-    monkeypatch.setattr(scalar, "_poly_gcd", _no_euclid)
+    monkeypatch.setattr(scalar, "_zz_prsgcd", _no_fallback)
     big = 10**40 + 7
     g = _qpoly({0: -1, 3: 1}, 2)
     num = pmul(_qpoly({-1: big, 4: F(1, big)}, 2), g)
@@ -332,25 +334,36 @@ def test_normalize_huge_coefficients_and_shift(monkeypatch):
     _check_normal_form(num, den, 2)
 
 
-def test_normalize_cyclotomic_coefficients_use_euclid(monkeypatch):
-    calls = []
-    euclid = scalar._poly_gcd
-    monkeypatch.setattr(scalar, "_poly_gcd", lambda a, b: calls.append(1) or euclid(a, b))
+def test_normalize_cyclotomic_denominator_by_its_norm():
     one = CycNumber.from_rational(1)
-    # (q - zeta_3) / (q^2 - zeta_3^2) = 1 / (q + zeta_3)
-    num = {F(1): one, F(0): -CycNumber.root(F(1, 3))}
+    z3 = CycNumber.root(F(1, 3))
+    # (q - zeta_3) / (q^2 - zeta_3^2) = 1 / (q + zeta_3) = (q + zeta_3^2) / (q^2 - q + 1)
+    num = {F(1): one, F(0): -z3}
     den = {F(2): one, F(0): -CycNumber.root(F(2, 3))}
     out = _normalize(num, den)
-    assert calls
     assert [list(p.items()) for p in out] == [
-        list(p.items()) for p in euclid_normalize(num, den)]
+        [(F(1), one), (F(0), CycNumber.from_rational(-1) - z3)],
+        list(_qpoly({2: 1, 1: -1, 0: 1}, 1).items())]
     assert ExactScalar(num, den) == ExactScalar.one() / (q_power(1) + root_of_unity(F(1, 3)))
 
 
-def test_normalize_falls_back_to_euclid_when_gcdheu_gives_up(monkeypatch):
+def test_normalize_falls_back_to_prs_when_gcdheu_gives_up(monkeypatch):
     monkeypatch.setattr(scalar, "_zz_heugcd", lambda f, g: None)
     g = _qpoly({0: 1, 1: 1, 2: 1}, 2)
     _check_normal_form(pmul(_qpoly({0: 5, 3: 1}, 2), g), pmul(_qpoly({1: 2, 0: -3}, 2), g), 2)
+
+
+def test_normalize_cyclotomic_numerator_when_gcdheu_gives_up(monkeypatch):
+    monkeypatch.setattr(scalar, "_zz_heugcd", lambda f, g: None)
+    # a rational gcd Phi_3(q^(1/2)) under a numerator over Q(zeta_3): the
+    # Euclid oracle's form, keys and basis terms in its order
+    g = _qpoly({0: 1, 1: 1, 2: 1}, 2)
+    z3 = {F(1, 2): CycNumber.root(F(1, 3)).scale(3), F(0): CycNumber.from_rational(-2)}
+    num, den = pmul(pmul(_qpoly({0: 5, 3: 1}, 2), z3), g), pmul(_qpoly({1: 2, 0: -3}, 2), g)
+    out = _normalize(num, den)
+    assert _terms_in_order(ExactScalar(*out, _normalized=True)) == _terms_in_order(
+        ExactScalar(*euclid_normalize(num, den), _normalized=True))
+    assert len(out[1]) == 2
 
 
 @pytest.mark.parametrize("case", ["fractions", "unit_coefficients", "laurent", "root_of_unity",
@@ -358,14 +371,16 @@ def test_normalize_falls_back_to_euclid_when_gcdheu_gives_up(monkeypatch):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_arithmetic_matches_dict_path(case, data):
-    """+, -, * and / against the dict path (reference_arith): equal values and
-    equal key order in numerator and denominator."""
+    """+, -, * and / against the dict path (reference_arith): equal values,
+    and, where the oracle's denominator is rational, the same form with the
+    same key order in numerator and denominator."""
     # The oracle's Euclid swells coefficients, over Q(zeta_3)[t] the most: keep
-    # degrees low where Euclid runs on both sides, and coefficients small at
-    # the higher degrees of t = q^(1/6) and over Q(zeta_3).  Coefficients +-1
-    # make running sums cancel and come back within a product.
-    euclid = case in ("root_of_unity", "gcdheu_gives_up")
-    n = 2 if euclid else data.draw(st.sampled_from([2, 6]))
+    # degrees low in the root_of_unity and gcdheu_gives_up cases, and
+    # coefficients small at the higher degrees of t = q^(1/6) and over
+    # Q(zeta_3).  Coefficients +-1 make running sums cancel and come back
+    # within a product.
+    low_degree = case in ("root_of_unity", "gcdheu_gives_up")
+    n = 2 if low_degree else data.draw(st.sampled_from([2, 6]))
     rat = {"unit_coefficients": st.sampled_from([F(-1), F(1)]),
            "root_of_unity": st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 4))}
     small = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 12))
@@ -381,12 +396,14 @@ def test_arithmetic_matches_dict_path(case, data):
     with pytest.MonkeyPatch.context() as mp:
         if case == "gcdheu_gives_up":
             mp.setattr(scalar, "_zz_heugcd", lambda f, g: None)
-        got = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}[op](a, b)
+        got = _OPS[op](a, b)
         want = reference_arith(op, a, b)
-    assert got == want
-    assert list(got.num.items()) == list(want.num.items())
-    assert list(got.den.items()) == list(want.den.items())
+    if _rational_den(want):
+        assert got == want
+        assert list(got.num.items()) == list(want.num.items())
+        assert list(got.den.items()) == list(want.den.items())
+    else:
+        assert pmul(got.num, want.den) == pmul(want.num, got.den)
 
 
 def test_arithmetic_reinserts_cancelled_keys_last():
@@ -440,12 +457,17 @@ def _terms_in_order(x):
     return [[(e, list(c.terms.items())) for e, c in p.items()] for p in (x.num, x.den)]
 
 
+def _rational_den(x):
+    return all(c.is_rational() for c in x.den.values())
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(op=st.sampled_from(["+", "-", "*", "/", "**"]), k=st.integers(-2, 3), data=st.data())
 def test_integer_form_matches_dict_path_mixed_conductors(op, k, data):
     """+, -, *, / and ** over mixed conductors and exponent denominators
-    against the dict path: equal values, the same q-exponent keys in the same
-    order, and every coefficient's basis terms in the same order."""
+    against the dict path: equal values, and, where the oracle's denominator
+    is rational, the same q-exponent keys in the same order, and every
+    coefficient's basis terms in the same order."""
     conductors = data.draw(st.sampled_from([[1, 2], [3], [4, 8], [5], _CONDUCTORS]))
     a, b = data.draw(_mixed_scalars(conductors)), data.draw(_mixed_scalars(conductors))
     if op == "**":
@@ -455,11 +477,82 @@ def test_integer_form_matches_dict_path_mixed_conductors(op, k, data):
     else:
         if op == "/" and b.is_zero():
             return
-        got = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}[op](a, b)
+        got = _OPS[op](a, b)
         want = reference_arith(op, a, b)
-    assert got == want and got.key() == want.key()
-    assert _terms_in_order(got) == _terms_in_order(want)
+    if _rational_den(want):
+        assert got == want and got.key() == want.key()
+        assert _terms_in_order(got) == _terms_in_order(want)
+    else:
+        assert pmul(got.num, want.den) == pmul(want.num, got.den)
+
+
+@st.composite
+def _cyclotomic_fractions(draw):
+    """A value over Q(zeta_m), m in 3, 4, 5, 12, in t = q^(1/n), n in 1, 2,
+    whose denominator has a primitive m-th root of unity among its
+    coefficients and at least two terms; at times num and den share a
+    factor t + zeta_m^j."""
+    m, n = draw(st.sampled_from([3, 4, 5, 12])), draw(st.sampled_from([1, 2]))
+    roots = st.sampled_from([j for j in range(m) if math.gcd(j, m) == 1])
+
+    def poly(k):
+        out = {}
+        for e, c, j in draw(st.lists(st.tuples(st.integers(0, 2 * n), st.integers(-3, 3).filter(
+                bool), st.integers(0, m - 1)), min_size=1, max_size=3)):
+            out = padd(out, {F(e - k, n): CycNumber.root(F(j, m)).scale(c)})
+        return out
+
+    num = poly(draw(st.integers(0, 2)))
+    den = padd(poly(0), {F(draw(st.integers(1, 2 * n)), n): CycNumber.from_rational(1),
+                         ZERO: CycNumber.root(F(draw(roots), m)).scale(draw(st.sampled_from([-2, 1])))})
+    if len(den) < 2 or all(c.is_rational() for c in den.values()):
+        den = {F(1, n): CycNumber.from_rational(1), ZERO: CycNumber.root(F(draw(roots), m))}
+    if num and draw(st.booleans()):
+        shared = {F(1, n): CycNumber.from_rational(1), ZERO: CycNumber.root(F(draw(roots), m))}
+        num, den = pmul(num, shared), pmul(den, shared)
+    return ExactScalar(num, den)
+
+
+def _dict_fraction(op, a, b):
+    """a op b as the dict path's fraction before any reduction."""
+    bn = pneg(b.num) if op == "-" else b.num
+    if op in "+-":
+        return padd(pmul(a.num, b.den), pmul(bn, a.den)), pmul(a.den, b.den)
+    return (pmul(a.num, b.num), pmul(a.den, b.den)) if op == "*" else (
+        pmul(a.num, b.den), pmul(a.den, b.num))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), t0=st.integers(2, 5))
+def test_cyclotomic_denominators_reduce_over_the_integers(data, t0):
+    """Values with cyclotomic coefficients and denominators of more than one
+    term: the operands of test_arithmetic_matches_dict_path at full size
+    (coefficients up to 10^12/12, t = q^(1/2) or q^(1/6)) with one of them
+    times zeta_3, and values over mixed conductors 3, 4, 5 and 12 with
+    cyclotomic denominators.  The result's denominator is rational with
+    lowest term 1, the form is stable, and the value agrees with the dict
+    path's unreduced fraction and, for t = q^(1/2), under ev."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.sampled_from([2, 6]))
+        a, b = (ExactScalar(*data.draw(_rational_fractions(n))) for _ in range(2))
+        b = b * root_of_unity(F(1, 3))
+    else:
+        a, b = data.draw(_cyclotomic_fractions()), data.draw(_cyclotomic_fractions())
+    if data.draw(st.booleans()):
+        a, b = b, a
+    op = data.draw(st.sampled_from("+-*/"))
+    if op == "/" and b.is_zero():
+        return
+    got = _OPS[op](a, b)
+    assert _rational_den(got) and got.den[ZERO] == CycNumber.from_rational(1)
+    assert ExactScalar(got.num, got.den) == got
+    num, den = _dict_fraction(op, a, b)
+    assert pmul(got.num, den) == pmul(num, got.den)
+    try:
+        want = _OPS[op](ev(a, t0), ev(b, t0))
+    except (ValueError, ZeroDivisionError):  # an exponent not in Z/2, or a pole
+        return
+    assert ev(got, t0) == want
 
 
 def test_cyclotomic_arithmetic_reinserts_cancelled_keys_last():
