@@ -348,25 +348,26 @@ def euclid_normalize(num: dict, den: dict):
     return num_out, den_out
 
 
+def dict_fraction(op: str, a: ExactScalar, b: ExactScalar):
+    """a op b for op in "+-*/" as the dict path's (num, den) before any
+    reduction: padd, pneg and pmul over CycNumber coefficients."""
+    bn = pneg(b.num) if op == "-" else b.num
+    if op in "+-":
+        return padd(pmul(a.num, b.den), pmul(bn, a.den)), pmul(a.den, b.den)
+    if op == "*":
+        return pmul(a.num, b.num), pmul(a.den, b.den)
+    return pmul(a.num, b.den), pmul(a.den, b.num)
+
+
 def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    """a op b for op in "+-*/" by the dict path alone: padd, pneg and pmul over
-    CycNumber coefficients, then euclid_normalize, as the arithmetic computed
-    it before its integer form.  The oracle for values, key order and every
-    coefficient's term order."""
-    if op == "-":
-        op, b = "+", ExactScalar(pneg(b.num), b.den, _normalized=True)
-    laurent = a.is_laurent() and b.is_laurent()
-    if op == "+":
-        if laurent:
-            return ExactScalar(padd(a.num, b.num), None, _normalized=True)
-        num, den = padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)
-    elif op == "*":
-        if laurent:
-            return ExactScalar(pmul(a.num, b.num), None, _normalized=True)
-        num, den = pmul(a.num, b.num), pmul(a.den, b.den)
-    else:
-        num, den = pmul(a.num, b.den), pmul(a.den, b.num)
-    return ExactScalar(*euclid_normalize(num, den), _normalized=True)
+    """a op b for op in "+-*/" by the dict path alone: dict_fraction, then
+    euclid_normalize, as the arithmetic computed it before its integer form.
+    The oracle for values, key order and every coefficient's term order."""
+    if op != "/" and a.is_laurent() and b.is_laurent():
+        bn = pneg(b.num) if op == "-" else b.num
+        return ExactScalar(padd(a.num, bn) if op in "+-" else pmul(a.num, b.num), None,
+                           _normalized=True)
+    return ExactScalar(*euclid_normalize(*dict_fraction(op, a, b)), _normalized=True)
 
 
 def ev(x: ExactScalar, t0: int) -> ExactScalar:

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_normalize, ev, padd, pmul, pneg, reference_arith
+from helpers import dict_fraction, euclid_normalize, ev, padd, pmul, reference_arith
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -513,15 +513,6 @@ def _cyclotomic_fractions(draw):
     return ExactScalar(num, den)
 
 
-def _dict_fraction(op, a, b):
-    """a op b as the dict path's fraction before any reduction."""
-    bn = pneg(b.num) if op == "-" else b.num
-    if op in "+-":
-        return padd(pmul(a.num, b.den), pmul(bn, a.den)), pmul(a.den, b.den)
-    return (pmul(a.num, b.num), pmul(a.den, b.den)) if op == "*" else (
-        pmul(a.num, b.den), pmul(a.den, b.num))
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data(), t0=st.integers(2, 5))
 def test_cyclotomic_denominators_reduce_over_the_integers(data, t0):
@@ -546,7 +537,7 @@ def test_cyclotomic_denominators_reduce_over_the_integers(data, t0):
     got = _OPS[op](a, b)
     assert _rational_den(got) and got.den[ZERO] == CycNumber.from_rational(1)
     assert ExactScalar(got.num, got.den) == got
-    num, den = _dict_fraction(op, a, b)
+    num, den = dict_fraction(op, a, b)
     assert pmul(got.num, den) == pmul(num, got.den)
     try:
         want = _OPS[op](ev(a, t0), ev(b, t0))
