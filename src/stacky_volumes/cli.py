@@ -55,6 +55,30 @@ _LEVEL_BUDGET = 10**4
 _CONDUCTOR_MAX = 120
 _CONDUCTOR_DEN_MAX = 2
 _SPAN_BUDGET = 2 * 10**4
+# delta, plid-check and volume: estimated microseconds on one core, checked
+# before any counting; each estimate is within about 3x of measured times.
+# delta: a count term costs about 2, a fitted term 4 per factor of
+# (1 - T^delta)^D, and in orbits mode each multiple r of m adds a Burnside
+# loop of r/m steps at about 1/6 each.  Each region is charged r counts per
+# mode plus the first three rungs of delta_limit's ladder, the last one any
+# fit needs.  At m = 1 and r = 24, s = 7 is charged 2.65 million (1.1 s) and
+# s = 8 11.9 million (refused; 6 s).  The largest admitted jobs measured:
+# s = 3 with r = 1,490,000 in differences mode 3.6 s, r = 5,900 in both 3.6 s.
+_DELTA_BUDGET = 3 * 10**6
+# plid-check: about 70 per (part, series order, composition) term of each
+# grade's weighted inertia series per level, growing by a tenth per level,
+# plus grade^5 levels^3 / 15 for the plethystic logarithms.  Admitted at the
+# edge: gradeBound 5 with levelBound 7 (2.9 million, 3.7 s), 6 with 2 (2.3
+# million, 2.4 s); 7 with 1 is charged 3.2 million (refused; 3.2 s).
+_PLID_BUDGET = 3 * 10**6
+# volume: 2 per fibre point, coordinate and group factor, then, per fibre
+# orbit and twist order r up to the larger of R and volume_fit's first
+# order, r^(k+l) candidate characters plus r^(k+1) prod gcd(d_i, r) twisted
+# points.  Admitted at the edge: the (1, -1) quotient at R = 143 (1.4 s),
+# torus rank 2 at R = 35 (2.0 s), torus and mu_2 at R = 105 (3.0 s).  Series
+# with no rational fit, which climb volume_fit's whole ladder (weights
+# (1, -2), or all 1), are not charged beyond the first order.
+_VOLUME_BUDGET = 3 * 10**6
 # a decimal exponent past Python's int-string digit limit (4300) would make
 # Fraction build a number of that many digits
 _EXPONENT = re.compile(r"[eE]([+-]?\d+)")
@@ -190,8 +214,15 @@ def _cmd_volume(params):
         raise SchemaViolation("fbar must be 'one' or 'gerbe'")
     if params.get("fiber", "origin") != "origin":
         raise SchemaViolation("field 'fiber' must be 'origin', the only supported fibre")
+    # q^64 >= 2^64 points are over the budget already
+    fibre = 2 * q ** min(n, 64) * n * (k + len(finite) + 1)
+    if fibre > _VOLUME_BUDGET:
+        raise SchemaViolation(
+            f"enumerating the {q}^{n} fibre points is over the volume budget of"
+            f" {_VOLUME_BUDGET:,}; use a smaller 'n' or 'q'")
     datum = st.ToricStackDatum(n, k, finite, weights, q)
     order = _int(params, ("R", "truncation"), 12)
+    _volume_preflight(datum, order, fibre)
     # "gerbe" is an alias of "one": plain toric data carry no gerbe
     series = st.volume_series(datum, order)
     fit = st.volume_fit(datum)
@@ -200,6 +231,22 @@ def _cmd_volume(params):
         "fit": fit.to_json(),
         "volume": _scalar_report(-fit.limit_at_infinity(), q),
     }
+
+
+def _volume_preflight(datum, order, steps):
+    """Refuse, before the series, a job whose fibre (charged `steps`) and
+    twisted points up to the larger of R and volume_fit's first fitted order
+    cost more than _VOLUME_BUDGET."""
+    kl = datum.k + datum.l
+    orbits = len(datum.fiber_orbits())
+    first = st.volume_ladder(datum)[0][2]
+    for r in range(1, max(order, first) + 1):
+        torsion = math.prod(math.gcd(d, r) for d in datum.finite_orders)
+        steps += orbits * (r**kl + r ** (datum.k + 1) * torsion)
+        if steps > _VOLUME_BUDGET:
+            raise SchemaViolation(
+                f"the twisted-point series up to r = {r} is over the volume budget of"
+                f" {_VOLUME_BUDGET:,}; use a smaller 'R', 'n' or 'finiteOrders'")
 
 
 def _cmd_bps(params):
@@ -241,7 +288,6 @@ def _cmd_delta(params):
         for key in ("m", "s"):
             _require(params, key, None, "delta")
         m, s = _int(params, "m", None), _int(params, "s", None)
-        region = eh.DeltaRegion(m, s)
         r_max = _int(params, ("r", "truncation"), 24)
         modes = ("differences", "orbits")
         mode = params.get("delta_mode") or params.get("mode")
@@ -249,6 +295,8 @@ def _cmd_delta(params):
             if mode not in modes:
                 raise SchemaViolation("mode must be differences|orbits")
             modes = (mode,)
+        _delta_preflight([(m, s)], r_max, modes)
+        region = eh.DeltaRegion(m, s)
         out = {"m": m, "s": s, "r_max": r_max}
         for md in modes:
             out[md] = {
@@ -256,9 +304,28 @@ def _cmd_delta(params):
                 "limit": str(eh.delta_limit(region, md)),
             }
         return out
-    return st.delta_report(
-        _int(params, "max_m", 3), _int(params, "max_s", 3), _int(params, "max_r", 24)
-    )
+    max_m, max_s = _int(params, "max_m", 3), _int(params, "max_s", 3)
+    max_r = _int(params, "max_r", 24)
+    regions = ((m, s) for m in range(1, max_m + 1) for s in range(1, max_s + 1))
+    _delta_preflight(regions, max_r, ("differences", "orbits"))
+    return st.delta_report(max_m, max_s, max_r)
+
+
+def _delta_preflight(regions, r_max, modes):
+    """Refuse, before any count, regions whose r_max counts and first three
+    fitted ladder rungs cost more than _DELTA_BUDGET in all."""
+    steps = 0
+    for m, s in regions:
+        # lcm(1..64) is past 10^26, so a larger s is over the budget already
+        ladder = eh.delta_ladder(eh.DeltaRegion(m, min(s, 64)))[:3]
+        for order, factors in [(r_max, 0)] + [(o, big_d + 1) for _, big_d, o in ladder]:
+            steps += len(modes) * order * (2 + 4 * factors)
+            if "orbits" in modes:
+                steps += (order // m) ** 2 // 12
+        if steps > _DELTA_BUDGET:
+            raise SchemaViolation(
+                f"counting and fitting region (m, s) = ({m}, {s}) brings the estimate over"
+                f" the delta budget of {_DELTA_BUDGET:,}; use a smaller 's', 'm' or 'r'")
 
 
 def _cmd_plid_check(params):
@@ -269,9 +336,27 @@ def _cmd_plid_check(params):
     if mode not in ("differences", "orbits"):
         raise SchemaViolation("mode must be differences|orbits")
     conv = _parse_convention(params)
+    _plid_preflight(grade, levels)
     monoid = mo.LinearObjectsMonoid.vect(q, conv)
     report = st.plethystic_identity_residual(monoid, grade, levels, mode)
     return report.to_json()
+
+
+def _plid_preflight(grade, levels):
+    """Refuse, before any series, a job whose weighted inertia series and
+    plethystic logarithms cost more than _PLID_BUDGET."""
+    per_level = 0
+    for a in range(1, grade + 1):
+        compositions = sum(2 ** (a // m - 1) for m in range(1, a + 1)
+                           if a % m == 0 and lr.mobius(m))
+        per_level += a * (a * (a + 2) + 2) * compositions
+        if per_level > _PLID_BUDGET:
+            break
+    steps = 70 * per_level * (levels + levels * (levels + 1) // 20) + grade**5 * levels**3 // 15
+    if steps > _PLID_BUDGET:
+        raise SchemaViolation(
+            f"gradeBound {grade} and levelBound {levels} are over the plid-check budget of"
+            f" {_PLID_BUDGET:,}; use a smaller 'gradeBound' or 'levelBound'")
 
 
 def _cmd_plethystic(params):

@@ -65,16 +65,16 @@ class VolumeElem:
 
 
 class CountingFunction:
-    """Sparse map (monoid element, level) -> scalar with Frobenius support."""
+    """Sparse map (monoid element, level) -> scalar with Frobenius support,
+    stored level by level: values[n] maps each element to its nonzero value."""
 
-    __slots__ = ("monoid", "grade_bound", "level_bound", "values", "elems")
+    __slots__ = ("monoid", "grade_bound", "level_bound", "values")
 
     def __init__(self, monoid, grade_bound: int, level_bound: int, entries=None):
         self.monoid = monoid
         self.grade_bound = grade_bound
         self.level_bound = level_bound
-        self.values: dict = {}
-        self.elems: dict = {}
+        self.values: dict[int, dict] = {}
         for x, n, v in entries or []:
             self.set(x, n, v)
 
@@ -106,40 +106,35 @@ class CountingFunction:
             raise ValueError("element exceeds the grade bound")
         if not self.monoid.is_fixed(x, n):
             raise ValueError(f"element {x} is not fixed at level {n}")
-        k = self.monoid.key(x)
         if v.is_zero():
-            self.values.pop((k, n), None)
+            self.values.get(n, {}).pop(x, None)
         else:
-            self.values[(k, n)] = v
-            self.elems[k] = x
+            self.values.setdefault(n, {})[x] = v
 
     def _accumulate(self, x, n, v):
-        if self.monoid.grade(x) <= self.grade_bound and n <= self.level_bound:
-            self._accumulate_in_bounds(x, n, v)
-
-    def _accumulate_in_bounds(self, x, n, v):
-        """_accumulate for a sum the caller knows is within both bounds."""
+        """Add v to the value at (x, n), which the caller keeps within both
+        bounds."""
         if v.is_zero():
             return
-        k = self.monoid.key(x)
-        s = self.values.get((k, n))
+        level = self.values.setdefault(n, {})
+        s = level.get(x)
         s = v if s is None else s + v
         if s.is_zero():
-            self.values.pop((k, n), None)
+            del level[x]
         else:
-            self.values[(k, n)] = s
-            self.elems[k] = x
+            level[x] = s
 
     # -- access ---------------------------------------------------------------
 
     def value(self, x, n) -> ExactScalar:
         if n > self.level_bound:
             raise TruncationExceeded(f"level {n} beyond truncation {self.level_bound}")
-        return self.values.get((self.monoid.key(x), n), ExactScalar.zero())
+        return self.values.get(n, {}).get(x, ExactScalar.zero())
 
     def support(self):
-        for (k, n), v in self.values.items():
-            yield self.elems[k], n, v
+        for n, level in self.values.items():
+            for x, v in level.items():
+                yield x, n, v
 
     def restricted(self, grade_bound=None, level_bound=None) -> "CountingFunction":
         gb = min(self.grade_bound, grade_bound or self.grade_bound)
@@ -147,7 +142,7 @@ class CountingFunction:
         out = CountingFunction(self.monoid, gb, nb)
         for x, n, v in self.support():
             if self.monoid.grade(x) <= gb and n <= nb:
-                out.set(x, n, v)
+                out._accumulate(x, n, v)
         return out
 
     def agrees_with(self, other, grade_bound, level_bound) -> bool:
@@ -160,9 +155,8 @@ class CountingFunction:
         for f in (self, other):
             for x, n, _ in f.support():
                 if f.monoid.grade(x) <= grade_bound and n <= level_bound:
-                    keys.add((f.monoid.key(x), n))
-        for k, n in sorted(keys):
-            x = self.elems.get(k, other.elems.get(k))
+                    keys.add((x, n))
+        for x, n in sorted(keys):
             a = self.value(x, n)
             b = other.value(x, n)
             if a != b:
@@ -191,7 +185,7 @@ class CountingFunction:
     def __neg__(self):
         out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
         for x, n, v in self.support():
-            out.set(x, n, -v)
+            out._accumulate(x, n, -v)
         return out
 
     def __sub__(self, other):
@@ -201,7 +195,7 @@ class CountingFunction:
         c = _coerce(c)
         out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
         for x, n, v in self.support():
-            out.set(x, n, v * c)
+            out._accumulate(x, n, v * c)
         return out
 
     # -- serialization ----------------------------------------------------------
@@ -214,7 +208,7 @@ class CountingFunction:
 
         return [
             {"element": enc(x), "level": n, "value": v.to_json()}
-            for x, n, v in sorted(self.support(), key=lambda t: (t[1], self.monoid.key(t[0])))
+            for x, n, v in sorted(self.support(), key=lambda t: (t[1], t[0]))
         ]
 
     @staticmethod
@@ -237,27 +231,24 @@ def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
     """(f*g)(x)_n = sum over ordered pairs of level-n fixed elements with
     x' + x'' = x of f(x')_n g(x'')_n.
 
-    within[n][b] lists g's level-n support of grade <= b in support order, so
-    x visits exactly the in-bound pairs of the all-pairs loop, in its order,
-    and their sums need no second bound check."""
+    within[b] lists g's level-n support of grade <= b in support order, so x
+    visits exactly the in-bound pairs of the all-pairs loop, in its order."""
     f._check_compatible(g)
     mon = f.monoid
     bound = f.grade_bound
     out = CountingFunction(mon, bound, f.level_bound)
-    graded: dict[int, list] = {}
-    for y, n, w in g.support():
-        graded.setdefault(n, []).append((mon.grade(y), y, w))
-    within = {n: [[(y, w) for gy, y, w in ys if gy <= b] for b in range(bound + 1)]
-              for n, ys in graded.items()}
-    for x, n, v in f.support():
-        if n in within:
-            for y, w in within[n][bound - mon.grade(x)]:
-                out._accumulate_in_bounds(mon.add(x, y), n, v * w)
+    for n, level in f.values.items():
+        ys = [(mon.grade(y), y, w) for y, w in g.values.get(n, {}).items()]
+        within = [[(y, w) for gy, y, w in ys if gy <= b] for b in range(bound + 1)]
+        for x, v in level.items():
+            for y, w in within[bound - mon.grade(x)]:
+                out._accumulate(mon.add(x, y), n, v * w)
     return out
 
 
 def adams(f: CountingFunction, m: int) -> CountingFunction:
-    """psi_m(f)(x)_n = sum of f(y)_{nm} over trace fibers Tr_{nm/n}(y) = x."""
+    """psi_m(f)(x)_n = sum of f(y)_{nm} over trace fibers Tr_{nm/n}(y) = x;
+    the trace has m times the grade of y."""
     if m < 1:
         raise ValueError("Adams index must be positive")
     if m == 1:
@@ -269,14 +260,10 @@ def adams(f: CountingFunction, m: int) -> CountingFunction:
             f"psi_{m} needs level budget >= {m}, have {f.level_bound}"
         )
     out = CountingFunction(mon, f.grade_bound, n_out)
-    for y, lev, v in f.support():
-        if lev % m:
-            continue
-        n = lev // m
-        if n > n_out:
-            continue
-        x = mon.trace(y, n, m)
-        out._accumulate(x, n, v)
+    for n in range(1, n_out + 1):
+        for y, v in f.values.get(n * m, {}).items():
+            if m * mon.grade(y) <= f.grade_bound:
+                out._accumulate(mon.trace(y, n, m), n, v)
     return out
 
 
@@ -370,20 +357,16 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
         raise TruncationExceeded("level budget too small for the grade bound")
     unit = CountingFunction.unit(mon, big_f.grade_bound, big_f.level_bound)
     f = big_f - unit
-    by_level: dict[int, list] = {}
-    for y, lev, v in f.support():
-        if mon.grade(y) >= 1:
-            by_level.setdefault(lev, []).append((y, v))
     out = CountingFunction(mon, g, n_out)
     for n in range(1, n_out + 1):
         for m in range(1, g + 1):
             mu = mobius(m)
-            if mu == 0 or n * m > big_f.level_bound:
+            if mu == 0:
                 continue
             pool = [
                 (y, mon.trace(y, n, m), mon.grade(y) * m, v)
-                for y, v in by_level.get(n * m, ())
-                if mon.grade(y) * m <= g
+                for y, v in f.values.get(n * m, {}).items()
+                if 1 <= mon.grade(y) * m <= g
             ]
             if not pool:
                 continue
@@ -407,8 +390,8 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
 
 
 def pushforward(morphism, f: CountingFunction) -> CountingFunction:
-    """Sum values over fibers; a homomorphism of lambda-rings when the fibers
-    are sigma-finite."""
+    """Sum values over fibers of a grade-preserving morphism; a homomorphism
+    of lambda-rings when the fibers are sigma-finite."""
     if not getattr(morphism, "sigma_finite", False):
         raise NotSigmaFinite("pushforward requires sigma-finite fibers")
     if f.monoid != morphism.source:

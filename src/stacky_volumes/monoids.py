@@ -32,19 +32,10 @@ class GradedGaloisMonoid:
     def zero(self):
         raise NotImplementedError
 
-    def key(self, x):
-        return x
-
-    def grading(self, x) -> tuple:
-        raise NotImplementedError
-
     def grade(self, x) -> int:
-        return sum(self.grading(x))
+        raise NotImplementedError
 
     def add(self, x, y):
-        raise NotImplementedError
-
-    def frobenius(self, x):
         raise NotImplementedError
 
     def is_fixed(self, x, n: int) -> bool:
@@ -54,18 +45,14 @@ class GradedGaloisMonoid:
         raise NotImplementedError
 
     def trace(self, y, n: int, m: int):
-        """Tr_{nm/n}(y): the sum of the m Frobenius^n translates of y."""
+        """Tr_{nm/n}(y): the sum of the m Frobenius^n translates of y, for a
+        monoid with a _frobenius_power(x, n)."""
         out = y
         cur = y
         for _ in range(m - 1):
             cur = self._frobenius_power(cur, n)
             out = self.add(out, cur)
         return out
-
-    def _frobenius_power(self, x, n: int):
-        for _ in range(n):
-            x = self.frobenius(x)
-        return x
 
 
 class DiscreteLattice(GradedGaloisMonoid):
@@ -78,14 +65,11 @@ class DiscreteLattice(GradedGaloisMonoid):
     def zero(self):
         return (0,) * self.rank
 
-    def grading(self, x):
-        return x
+    def grade(self, x):
+        return sum(x)
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
-
-    def frobenius(self, x):
-        return x
 
     def is_fixed(self, x, n):
         return True
@@ -143,19 +127,12 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
     def zero(self):
         return ()
 
-    def grading(self, x):
-        return (sum(mult for _, mult in x),)
+    def grade(self, x):
+        return sum(mult for _, mult in x)
 
     def add(self, x, y):
         acc = dict(x)
         for p, m in y:
-            acc[p] = acc.get(p, 0) + m
-        return tuple(sorted(acc.items()))
-
-    def frobenius(self, x):
-        acc: dict = {}
-        for (d, i, o), m in x:
-            p = (d, i, (o + 1) % d)
             acc[p] = acc.get(p, 0) + m
         return tuple(sorted(acc.items()))
 
@@ -210,16 +187,13 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
 
 
 class Quiver:
-    """A finite quiver with arrow multiplicities; (i, j) -> count."""
+    """A finite quiver with arrow multiplicities, given as (i, j, count)
+    triples and kept as (i, j) -> count."""
 
     def __init__(self, vertices: int, arrows=None):
         self.vertices = vertices
         self.arrows: dict[tuple[int, int], int] = {}
-        if isinstance(arrows, dict):
-            items = [(i, j, c) for (i, j), c in arrows.items()]
-        else:
-            items = [tuple(e) for e in (arrows or [])]
-        for i, j, c in items:
+        for i, j, c in arrows or []:
             if not (0 <= i < vertices and 0 <= j < vertices):
                 raise ValueError(f"arrow endpoint out of range: {(i, j)}")
             if c:

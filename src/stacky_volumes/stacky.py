@@ -315,10 +315,13 @@ class ToricStackDatum:
             generators.append(
                 [gf.pow(zeta, self.weights[self.k + i][j]) for j in range(self.n)]
             )
-        remaining = set(fiber_pts)
+        # fiber_pts is sorted, so each new representative is the least point
+        # of the fibre outside the orbits found so far
+        seen: set = set()
         orbits = []
-        while remaining:
-            rep = min(remaining)
+        for rep in fiber_pts:
+            if rep in seen:
+                continue
             orbit = {rep}
             frontier = [rep]
             while frontier:
@@ -328,7 +331,7 @@ class ToricStackDatum:
                     if nxt not in orbit:
                         orbit.add(nxt)
                         frontier.append(nxt)
-            remaining -= orbit
+            seen |= orbit
             supp = frozenset(j for j, c in enumerate(rep) if c)
             orbits.append((rep, len(orbit), supp))
         self._orbit_cache = orbits
@@ -432,24 +435,25 @@ def _stabilizer_exponent(datum: ToricStackDatum) -> int:
     return out
 
 
-def volume_fit(datum: ToricStackDatum):
-    """Fit the twisted-point series as a rational function.
-
-    The denominator exponent starts at the lcm of the stabilizer exponents and
-    doubles on fit failure up to 16 times that.
-    """
-    delta0 = _stabilizer_exponent(datum)
+def volume_ladder(datum: ToricStackDatum) -> list:
+    """The (delta, D, series order) ansatzes volume_fit tries in turn: delta
+    starts at the lcm of the stabilizer exponents and doubles up to 16 times
+    that."""
     big_d = datum.k + datum.l + 1
-    delta = delta0
+    deltas = [_stabilizer_exponent(datum) * 2**i for i in range(5)]
+    return [(delta, big_d, delta * big_d + delta + 4) for delta in deltas]
+
+
+def volume_fit(datum: ToricStackDatum):
+    """Fit the twisted-point series as a rational function, on the first
+    ansatz of volume_ladder that fits."""
     last = None
-    while delta <= delta0 * 16:
-        order = delta * big_d + delta + 4
+    for delta, big_d, order in volume_ladder(datum):
         series = volume_series(datum, order)
         try:
             return fit_rational(series, delta, big_d)
         except NoRationalFit as exc:
             last = exc
-            delta *= 2
     raise last
 
 

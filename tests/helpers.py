@@ -88,17 +88,15 @@ def point(d: int, i: int, o: int = 0):
 def add_fiber(monoid, x, n) -> list:
     """All ordered pairs (a, b) of level-n fixed elements with a + b = x, by
     brute force over the fixed elements: the fibre convolution sums over."""
-    k = monoid.key(x)
     els = monoid.fixed_elements(n, monoid.grade(x))
-    return [(a, b) for a in els for b in els if monoid.key(monoid.add(a, b)) == k]
+    return [(a, b) for a in els for b in els if monoid.add(a, b) == x]
 
 
 def trace_fiber(monoid, x, n, m) -> list:
     """All level-nm fixed elements y with Tr_{nm/n}(y) = x, by brute force
     over the fixed elements: the fibre psi_m sums over."""
-    k = monoid.key(x)
     return [y for y in monoid.fixed_elements(n * m, monoid.grade(x))
-            if monoid.key(monoid.trace(y, n, m)) == k]
+            if monoid.trace(y, n, m) == x]
 
 
 def reference_convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
@@ -114,6 +112,23 @@ def reference_convolve(f: CountingFunction, g: CountingFunction) -> CountingFunc
         for y, w in by_level.get(n, ()):
             if mon.grade(x) + mon.grade(y) <= f.grade_bound:
                 out._accumulate(mon.add(x, y), n, v * w)
+    return out
+
+
+def reference_adams(f: CountingFunction, m: int) -> CountingFunction:
+    """psi_m by the all-support loop: every support entry in support order,
+    skipping the levels not divisible by m and the traces past the bounds.
+    adams must accumulate in this order, so keys and term order match."""
+    mon = f.monoid
+    n_out = f.level_bound // m
+    out = CountingFunction(mon, f.grade_bound, n_out)
+    for y, lev, v in f.support():
+        if lev % m:
+            continue
+        n = lev // m
+        x = mon.trace(y, n, m)
+        if n <= n_out and mon.grade(x) <= f.grade_bound:
+            out._accumulate(x, n, v)
     return out
 
 

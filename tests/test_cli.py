@@ -377,6 +377,56 @@ def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
     assert "bps budget of 20,000" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command, params, budget", [
+    # without the budgets, each input below ran for 10.9 s (gradeBound 8) or
+    # was still running when killed at 20-30 s, except the 10^9 and 10^6 ones
+    ("delta", {"m": 1, "s": 40, "r": 24}, "delta budget of 3,000,000"),
+    ("delta", {"max_m": 2, "max_s": 9, "max_r": 24}, "delta budget of 3,000,000"),
+    ("delta", {"m": 1, "s": 3, "r": 3000000}, "delta budget of 3,000,000"),
+    ("delta", {"max_m": 10**9, "max_s": 1}, "delta budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 8, "levelBound": 1, "q": 3}, "plid-check budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 2, "levelBound": 400, "q": 3},
+     "plid-check budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 10**9}, "plid-check budget of 3,000,000"),
+    ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [], "weights": [[1, -1]], "q": 3,
+                "R": 2000}, "volume budget of 3,000,000"),
+    # volume_fit's first ansatz has delta = 4095, so about 12,000 terms
+    ("volume", {"n": 1, "torusRank": 0, "finiteOrders": [4095], "weights": [[1]], "q": 4096,
+                "R": 2}, "volume budget of 3,000,000"),
+    # 3^12 fibre points, under the library's cap of 2 * 10^6
+    ("volume", {"n": 12, "torusRank": 1, "finiteOrders": [], "weights": [[1] * 12], "q": 3},
+     "volume budget of 3,000,000"),
+    ("volume", {"n": 10**6, "torusRank": 0, "weights": [], "q": 2}, "volume budget of 3,000,000"),
+])
+def test_over_a_cost_budget_exits_2_within_a_second(tmp_path, capsys, command, params, budget):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, command, params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert budget in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, params", [
+    ("delta", {"max_m": 3, "max_s": 3, "max_r": 24}),
+    ("delta", {"m": 2, "s": 3, "r": 24}),
+    ("delta", {"m": 1, "s": 7, "r": 24, "mode": "differences"}),
+    ("plid-check", {"gradeBound": 3, "levelBound": 3, "q": 5}),
+    ("volume", {"n": 3, "torusRank": 2, "finiteOrders": [], "weights": [[1, -1, 0], [0, 1, -1]],
+                "q": 3, "R": 12}),
+    ("volume", {"n": 2, "torusRank": 0, "finiteOrders": [6], "weights": [[1, 1]], "q": 7, "R": 8}),
+    ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [2], "weights": [[1, -1], [1, 0]],
+                "q": 7, "R": 8}),
+])
+def test_jobs_within_a_cost_budget_run(tmp_path, command, params):
+    code, report = run_cli([command], tmp_path, params)
+    assert code == 0 and "error" not in report
+
+
 @pytest.mark.parametrize("command, params, field", [
     ("delta", {"m": 1}, "'s'"),
     ("volume", {"n": 2, "weights": [[1, -1]], "q": 3}, "'torusRank'"),

@@ -12,6 +12,7 @@ from helpers import (
     pointwise_mul,
     random_counting_function,
     random_scalar,
+    reference_adams,
     reference_convolve,
     trace_fiber,
 )
@@ -157,6 +158,10 @@ def _shuffled_function(mon, rng, grade_bound, level_bound):
     return f
 
 
+def _terms(h):
+    return [(x, n, list(v.num.items()), list(v.den.items())) for x, n, v in h.support()]
+
+
 @pytest.mark.parametrize("mon", [FreeOrbitMonoid(affine_line_census(2, 3)), DiscreteLattice(2)],
                          ids=["free-orbit", "lattice-2"])
 def test_convolve_keeps_all_pairs_order(mon):
@@ -167,12 +172,27 @@ def test_convolve_keeps_all_pairs_order(mon):
         grades = [mon.grade(x) for x, _, _ in h.support()]
         assert grades != sorted(grades)
     got, ref = convolve(f, g), reference_convolve(f, g)
+    assert list(got.support()) == list(ref.support())
+    assert _terms(got) == _terms(ref)
 
-    def terms(h):
-        return [(k, list(v.num.items()), list(v.den.items())) for k, v in h.values.items()]
 
-    assert list(got.values.items()) == list(ref.values.items())
-    assert terms(got) == terms(ref)
+@pytest.mark.parametrize("mon", [FreeOrbitMonoid(affine_line_census(2, 3)), DiscreteLattice(2)],
+                         ids=["free-orbit", "lattice-2"])
+def test_adams_and_pushforward_keep_support_order(mon):
+    """adams and pushforward add into each slot in support order, so every
+    value's terms come out in the order of the all-support loop."""
+    f = _shuffled_function(mon, random.Random(22), 3, 6)
+    for m in (2, 3):
+        got, ref = adams(f, m), reference_adams(f, m)
+        assert list(got.support()) == list(ref.support()), m
+        assert _terms(got) == _terms(ref), m
+    phi = GradingMorphism(mon)
+    ref = CountingFunction(phi.target, f.grade_bound, f.level_bound)
+    for x, n, v in f.support():
+        ref._accumulate(phi.map(x), n, v)
+    got = pushforward(phi, f)
+    assert list(got.support()) == list(ref.support())
+    assert _terms(got) == _terms(ref)
 
 
 def test_adams_matches_trace_fiber_definition():
