@@ -34,12 +34,18 @@ _Q_MAX = 2**31
 # benchmark's tetrahedra sweep 2.8 million; 10^8 is a few seconds of numpy.
 _PREFIX_BUDGET = 10**8
 _DILATION_MIN = 2**10
-# bps: convolution steps of the plethystic logarithm, estimated as P^2 pairs
-# x gammaBound convolutions x gammaBound * levels levels, P the lattice
-# points of grade <= gammaBound.  The benchmark's largest job (2 loops,
-# gammaBound 6, 2 levels) is 3,528; at 2 levels the 2-loop quiver takes
-# 3.4 s at gammaBound 8 (10,368) and 24 s at gammaBound 10 (24,200).
-_BPS_BUDGET = 2 * 10**4
+# bps: work of the plethystic logarithm on the slots it reads, charged per
+# level N with grade cap c (lambdaring.log_demand) as c * P(c)^2 pairs,
+# P(c) = C(c + vertices, vertices), times the exponent span
+# N * c^2 * (arrow count + 2) of a level-N value of grade c.  Without the
+# span, 10,000 loops at gammaBound 6 (2 levels) and gammaBound 1 at 5,000
+# levels were admitted and still running at 60 s.  Measured in process on
+# one core, the slowest jobs at the edge take 3.6 s (no arrows, gammaBound 1,
+# 1,224 levels) and 3.2 s (no arrows, gammaBound 19, 1 level), below the
+# 5.8 s of the 2-loop quiver at gammaBound 9, 2 levels when every level was
+# convolved to gammaBound (0.15 s now); the 2-loop quiver is admitted up to
+# gammaBound 16 at 1 level (1.3 s) and 13 at 2 levels (0.7 s).
+_BPS_BUDGET = 6 * 10**6
 # plethystic: three guards checked before any value becomes a scalar.  With
 # no values the operations cost about 35 us per slot of grade * levels
 # (10^4: 0.45 s; 10^6: 40 s).  Coefficient products over Z[zeta_M] cost up
@@ -265,13 +271,7 @@ def _cmd_bps(params):
     gamma_bound = _int(params, ("gammaBound", "grade"), 4)
     levels = _int(params, "levels", 1)
     conv = _parse_convention(params)
-    work = gamma_bound**2 * levels * (vertices + 1) ** 2  # P >= vertices + 1
-    if work <= _BPS_BUDGET:
-        work = gamma_bound**2 * levels * math.comb(gamma_bound + vertices, vertices) ** 2
-    if work > _BPS_BUDGET:
-        raise SchemaViolation(
-            f"the plethystic logarithm needs more convolution steps than the bps budget"
-            f" of {_BPS_BUDGET:,}; use a smaller 'gammaBound', 'levels' or 'vertices'")
+    _bps_preflight(vertices, sum(a[2] for a in arrows), gamma_bound, levels)
     quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
     result = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
     table = []
@@ -281,6 +281,26 @@ def _cmd_bps(params):
              "omega": [_scalar_report(v, q) for v in ve.levels]}
         )
     return {"gamma_bound": gamma_bound, "levels": levels, "invariants": table}
+
+
+def _bps_preflight(vertices, arrow_count, gamma_bound, levels):
+    """Refuse, before any value, a job whose plethystic logarithm costs more
+    than _BPS_BUDGET: each level N it reads, with grade cap c, is charged
+    c * P(c)^2 pairs times the span N * c^2 * (arrow_count + 2)."""
+    def charge(n, c):
+        return c * math.comb(c + vertices, vertices) ** 2 * n * c * c * (arrow_count + 2)
+
+    # levels 1..levels alone have cap gammaBound, and P(gammaBound) exceeds
+    # both gammaBound and vertices
+    p = max(gamma_bound, vertices) + 1
+    work = gamma_bound**3 * p**2 * (arrow_count + 2) * levels * (levels + 1) // 2
+    if work <= _BPS_BUDGET:
+        caps = lr.log_demand(gamma_bound, gamma_bound * levels)
+        work = sum(charge(n, c) for n, c in caps.items())
+    if work > _BPS_BUDGET:
+        raise SchemaViolation(
+            f"the plethystic logarithm is over the bps budget of {_BPS_BUDGET:,};"
+            f" use a smaller 'gammaBound', 'levels', 'vertices' or arrow count")
 
 
 def _cmd_delta(params):

@@ -12,6 +12,14 @@ serves as the module's internal cross-oracle for pleth_log.
 Truncation is two-dimensional: a level bound N and a total-grade bound G.
 Adams psi_m divides the level budget by m; Sym/Log and log_direct divide it
 by G (only psi_k with k <= G can contribute below grade bound G).
+
+Log F = sum_m mu(m)/m psi_m(log F) reads log F only at the levels n*m with
+n <= N // G and squarefree m <= G, and there only at grade <= G // m, since
+psi_m multiplies grade by m.  log_demand maps each such level to the largest
+of its caps, and pleth_log computes the convolution logarithm on those slots
+alone.  This is exact: f = F - 1 vanishes at zero and grade is additive, so
+a slot of grade c receives contributions from f^s with s <= c only, each the
+same pairs in the same order as under full truncation.
 """
 
 from __future__ import annotations
@@ -90,12 +98,16 @@ class CountingFunction:
         )
 
     @staticmethod
-    def from_callable(monoid, grade_bound, level_bound, fn) -> "CountingFunction":
-        """Tabulate fn(element, level) over all fixed elements within bounds."""
+    def from_callable(monoid, grade_bound, level_bound, fn, caps=None) -> "CountingFunction":
+        """Tabulate fn(element, level) over all fixed elements within bounds.
+        caps, a {level: grade cap} map, keeps each level's elements within its
+        cap, and only the zero element on a level it leaves out."""
         out = CountingFunction(monoid, grade_bound, level_bound)
         for n in range(1, level_bound + 1):
+            cap = grade_bound if caps is None else caps.get(n, 0)
             for x in monoid.fixed_elements(n, grade_bound):
-                out.set(x, n, fn(x, n))
+                if monoid.grade(x) <= cap:
+                    out.set(x, n, fn(x, n))
         return out
 
     def set(self, x, n, v):
@@ -227,22 +239,29 @@ class CountingFunction:
 # Ring and lambda-ring operations.
 
 
-def convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
+def convolve(f: CountingFunction, g: CountingFunction, caps=None) -> CountingFunction:
     """(f*g)(x)_n = sum over ordered pairs of level-n fixed elements with
     x' + x'' = x of f(x')_n g(x'')_n.
 
     within[b] lists g's level-n support of grade <= b in support order, so x
-    visits exactly the in-bound pairs of the all-pairs loop, in its order."""
+    visits exactly the in-bound pairs of the all-pairs loop, in its order.
+    caps, a {level: grade cap} map, limits the product to the levels it names
+    and each to the pairs of total grade at most its cap; without it every
+    level runs to the grade bound."""
     f._check_compatible(g)
     mon = f.monoid
-    bound = f.grade_bound
-    out = CountingFunction(mon, bound, f.level_bound)
+    out = CountingFunction(mon, f.grade_bound, f.level_bound)
     for n, level in f.values.items():
+        bound = f.grade_bound if caps is None else caps.get(n)
+        if bound is None:
+            continue
         ys = [(mon.grade(y), y, w) for y, w in g.values.get(n, {}).items()]
         within = [[(y, w) for gy, y, w in ys if gy <= b] for b in range(bound + 1)]
         for x, v in level.items():
-            for y, w in within[bound - mon.grade(x)]:
-                out._accumulate(mon.add(x, y), n, v * w)
+            gx = mon.grade(x)
+            if gx <= bound:
+                for y, w in within[bound - gx]:
+                    out._accumulate(mon.add(x, y), n, v * w)
     return out
 
 
@@ -295,14 +314,23 @@ def exp_conv(f: CountingFunction) -> CountingFunction:
     return out
 
 
-def log_conv(big_f: CountingFunction) -> CountingFunction:
-    """Convolution logarithm of a function with value 1 at zero."""
+def log_conv(big_f: CountingFunction, caps=None) -> CountingFunction:
+    """Convolution logarithm of a function with value 1 at zero.
+
+    caps, a {level: grade cap} map, computes only the levels it names, each
+    below its cap; without it every level runs to the grade bound.  The
+    truncation is exact: f = F - 1 vanishes at zero and grade is additive, so
+    f^s has no support below grade s, and a level stops at power s = cap."""
     _check_augmented_one(big_f)
-    f = big_f - CountingFunction.unit(big_f.monoid, big_f.grade_bound, big_f.level_bound)
-    out = CountingFunction(big_f.monoid, big_f.grade_bound, big_f.level_bound)
-    power = CountingFunction.unit(big_f.monoid, big_f.grade_bound, big_f.level_bound)
-    for s in range(1, big_f.grade_bound + 1):
-        power = convolve(power, f)
+    g, levels = big_f.grade_bound, big_f.level_bound
+    if caps is None:
+        caps = dict.fromkeys(range(1, levels + 1), g)
+    f = big_f - CountingFunction.unit(big_f.monoid, g, levels)
+    out = CountingFunction(big_f.monoid, g, levels)
+    power = CountingFunction.unit(big_f.monoid, g, levels)
+    for s in range(1, max(caps.values(), default=0) + 1):
+        caps = {n: c for n, c in caps.items() if c >= s}
+        power = convolve(power, f, caps)
         out = out + power.scale(Fraction((-1) ** (s - 1), s))
     return out
 
@@ -321,14 +349,40 @@ def pleth_sym(f: CountingFunction) -> CountingFunction:
     return exp_conv(acc)
 
 
+def _log_reads(grade_bound: int, level_bound: int):
+    """The (n, m) pairs of the Moebius sum Log F = sum_m mu(m)/m psi_m(log F)
+    in the order log_direct visits them: output level n <= level_bound //
+    grade_bound and squarefree m <= grade_bound.  Each reads level n*m of
+    log F (and of F) only at grade <= grade_bound // m, since psi_m multiplies
+    grade by m."""
+    return [(n, m) for n in range(1, level_bound // grade_bound + 1)
+            for m in range(1, grade_bound + 1) if mobius(m)]
+
+
+def log_demand(grade_bound: int, level_bound: int) -> dict[int, int]:
+    """{level: grade cap} of the slots the plethystic logarithm reads: level
+    n*m up to the largest grade_bound // m over its (n, m) pairs.  Levels
+    left out are never read."""
+    caps: dict[int, int] = {}
+    for n, m in _log_reads(grade_bound, level_bound):
+        caps[n * m] = max(caps.get(n * m, 0), grade_bound // m)
+    return caps
+
+
 def pleth_log(big_f: CountingFunction) -> CountingFunction:
-    """Plethystic logarithm via Moebius inversion of Adams-twisted log."""
+    """Plethystic logarithm via Moebius inversion of Adams-twisted log.
+
+    The Moebius sum reads log F at level n*m (n <= level_bound // G,
+    squarefree m <= G) only at grade <= G // m, so the convolution logarithm
+    runs on those slots alone (log_demand).  Each of them receives the same
+    additions in the same order as under full truncation, so values and
+    term order do not change."""
     _check_augmented_one(big_f)
     g = big_f.grade_bound
     n_out = big_f.level_bound // g
     if n_out < 1:
         raise TruncationExceeded("level budget too small for the grade bound")
-    lg = log_conv(big_f)
+    lg = log_conv(big_f, log_demand(g, big_f.level_bound))
     out = lg.restricted(level_bound=n_out)
     for m in range(2, g + 1):
         mu = mobius(m)
@@ -358,30 +412,27 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
     unit = CountingFunction.unit(mon, big_f.grade_bound, big_f.level_bound)
     f = big_f - unit
     out = CountingFunction(mon, g, n_out)
-    for n in range(1, n_out + 1):
-        for m in range(1, g + 1):
-            mu = mobius(m)
-            if mu == 0:
-                continue
-            pool = [
-                (y, mon.trace(y, n, m), mon.grade(y) * m, v)
-                for y, v in f.values.get(n * m, {}).items()
-                if 1 <= mon.grade(y) * m <= g
-            ]
-            if not pool:
-                continue
+    for n, m in _log_reads(g, big_f.level_bound):
+        mu = mobius(m)
+        pool = [
+            (y, mon.trace(y, n, m), mon.grade(y) * m, v)
+            for y, v in f.values.get(n * m, {}).items()
+            if 1 <= mon.grade(y) <= g // m
+        ]
+        if not pool:
+            continue
 
-            def rec(trace_sum, budget, prod, s):
-                if s >= 1:
-                    out._accumulate(
-                        trace_sum, n, prod * Fraction((-1) ** (s - 1) * mu, m * s)
-                    )
-                for y, tr, gy, v in pool:
-                    if gy <= budget:
-                        nxt = tr if trace_sum is None else mon.add(trace_sum, tr)
-                        rec(nxt, budget - gy, prod * v, s + 1)
+        def rec(trace_sum, budget, prod, s):
+            if s >= 1:
+                out._accumulate(
+                    trace_sum, n, prod * Fraction((-1) ** (s - 1) * mu, m * s)
+                )
+            for y, tr, gy, v in pool:
+                if gy <= budget:
+                    nxt = tr if trace_sum is None else mon.add(trace_sum, tr)
+                    rec(nxt, budget - gy, prod * v, s + 1)
 
-            rec(None, g, ExactScalar.one(), 0)
+        rec(None, g, ExactScalar.one(), 0)
     return out
 
 

@@ -25,7 +25,8 @@ import math
 from fractions import Fraction
 
 from .ehrhart import DeltaRegion, delta_count, positive_functional_exists
-from .lambdaring import CountingFunction, VolumeElem, mobius, pleth_log, log_direct
+from .lambdaring import (CountingFunction, VolumeElem, log_demand, log_direct, mobius,
+                         pleth_log)
 from .ratfun import NoRationalFit, Series, fit_rational
 from .scalar import (
     DEFAULT_CONVENTION,
@@ -489,11 +490,13 @@ def dm_orbifold_sum(datum: ToricStackDatum) -> ExactScalar:
 
 
 def stacky_counting_function(monoid: LinearObjectsMonoid, grade_bound: int,
-                             level_bound: int) -> CountingFunction:
+                             level_bound: int, caps=None) -> CountingFunction:
     """The half-Lefschetz-shifted groupoid count as a counting function on the
-    dimension lattice: the input to the plethystic logarithm."""
+    dimension lattice: the input to the plethystic logarithm.  caps, such as
+    log_demand gives, tabulates only the slots the logarithm reads (see
+    CountingFunction.from_callable)."""
     return CountingFunction.from_callable(
-        monoid, grade_bound, level_bound, lambda x, n: monoid.stacky_value(x, n)
+        monoid, grade_bound, level_bound, lambda x, n: monoid.stacky_value(x, n), caps
     )
 
 
@@ -855,7 +858,9 @@ def plethystic_identity_residual(monoid: LinearObjectsMonoid, grade_bound: int,
     """
     _require_vect(monoid)
     conv = monoid.conv
-    shifted = stacky_counting_function(monoid, grade_bound, grade_bound * level_bound)
+    budget = grade_bound * level_bound
+    shifted = stacky_counting_function(monoid, grade_bound, budget,
+                                       log_demand(grade_bound, budget))
     lg = pleth_log(shifted)
     lgd = log_direct(shifted)
     entries = []
@@ -885,7 +890,9 @@ def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
     plethystic logarithm to the stacky counting function and multiply by the
     difference of half-Lefschetz powers."""
     monoid = LinearObjectsMonoid(quiver, q, conv)
-    shifted = stacky_counting_function(monoid, gamma_bound, gamma_bound * level_bound)
+    budget = gamma_bound * level_bound
+    shifted = stacky_counting_function(monoid, gamma_bound, budget,
+                                       log_demand(gamma_bound, budget))
     lg = pleth_log(shifted)
     out = {}
     for gamma in monoid.fixed_elements(1, gamma_bound):

@@ -1,6 +1,7 @@
 """Shared test utilities: random scalars, random counting functions, the
 brute-force addition and trace fibres that define convolution and Adams
-operations, the all-pairs reference convolution, the independent truncated
+operations, the all-pairs reference convolution, the plethystic logarithm
+from the full convolution logarithm, the independent truncated
 Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
 rational-function fit, the dict-path scalar arithmetic (with its own
 cyclotomic product, Galois action and inverse) and the normal form by
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stacky_volumes.lambdaring import CountingFunction, mobius
+from stacky_volumes.lambdaring import CountingFunction, adams, log_conv, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
 from stacky_volumes.ratfun import Series
 from stacky_volumes.scalar import (
@@ -130,6 +131,25 @@ def reference_adams(f: CountingFunction, m: int) -> CountingFunction:
         if n <= n_out and mon.grade(x) <= f.grade_bound:
             out._accumulate(x, n, v)
     return out
+
+
+def moebius_sum(lg: CountingFunction, n_out: int) -> CountingFunction:
+    """sum over squarefree m <= the grade bound of mu(m)/m psi_m(lg), cut at
+    level n_out, added up in pleth_log's order."""
+    out = lg.restricted(level_bound=n_out)
+    for m in range(2, lg.grade_bound + 1):
+        mu = mobius(m)
+        if mu:
+            out = out + adams(lg, m).restricted(level_bound=n_out).scale(Fraction(mu, m))
+    return out
+
+
+def reference_pleth_log(big_f: CountingFunction) -> CountingFunction:
+    """The plethystic logarithm from the convolution logarithm on every slot
+    within truncation, as pleth_log computed it before it kept only the
+    slots its Moebius sum reads: the oracle for values, support order and
+    term order."""
+    return moebius_sum(log_conv(big_f), big_f.level_bound // big_f.grade_bound)
 
 
 def pointwise_mul(f: CountingFunction, g: CountingFunction) -> CountingFunction:

@@ -358,11 +358,17 @@ def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, 
 
 
 @pytest.mark.parametrize("params", [
-    # the known hang: about 2.7 million estimated convolution steps
+    # the known hang: an estimate of about 465 million
     {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 40},
-    # 24 s at the estimate 24,200, just over the budget
-    {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 10, "levels": 2},
+    # 6,766,688, just over the budget; gammaBound 16 is admitted
+    {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 17},
     {"vertices": 10**9, "q": 2},
+    # each was still running after 60 s when the budget charged neither the
+    # arrow count nor the level of a value
+    {"vertices": 1, "arrows": [[0, 0, 10000]], "q": 2, "gammaBound": 6, "levels": 2},
+    {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 5000},
+    {"vertices": 1, "arrows": [[0, 0, 10**9]], "q": 2, "gammaBound": 1},
+    {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 10**9},
 ])
 def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
     previous = signal.signal(signal.SIGALRM, _too_slow)
@@ -374,7 +380,18 @@ def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
         signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err["error"]["kind"] == "SchemaViolation"
-    assert "bps budget of 20,000" in err["error"]["message"]
+    assert "bps budget of 6,000,000" in err["error"]["message"]
+
+
+def test_bps_within_the_budget_runs(tmp_path):
+    """The 2-loop quiver at gammaBound 10 and 2 levels, refused before the
+    plethystic logarithm kept only the slots it reads, now takes 0.3 s."""
+    code, report = run_cli(
+        ["bps"], tmp_path,
+        {"vertices": 1, "arrows": [[0, 0, 2]], "q": 2, "gammaBound": 10, "levels": 2},
+    )
+    assert code == 0
+    assert [r["gamma"] for r in report["invariants"]] == [[a] for a in range(1, 11)]
 
 
 @pytest.mark.parametrize("command, params, budget", [

@@ -2,18 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
     add_fiber,
     ev,
+    moebius_sum,
     point,
     pointwise_mul,
     random_counting_function,
     random_scalar,
     reference_adams,
     reference_convolve,
+    reference_pleth_log,
     trace_fiber,
 )
 
@@ -27,6 +29,7 @@ from stacky_volumes.lambdaring import (
     convolve,
     exp_conv,
     log_conv,
+    log_demand,
     log_direct,
     mobius,
     pleth_log,
@@ -193,6 +196,53 @@ def test_adams_and_pushforward_keep_support_order(mon):
     got = pushforward(phi, f)
     assert list(got.support()) == list(ref.support())
     assert _terms(got) == _terms(ref)
+
+
+_LOG_MONOIDS = {
+    "free-orbit": FreeOrbitMonoid(affine_line_census(2, 3)),
+    "lattice-2": DiscreteLattice(2),
+    "vect": LinearObjectsMonoid.vect(2),
+    "two-vertex": LinearObjectsMonoid(Quiver(2), 2),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LOG_MONOIDS)), seed=st.integers(0, 2**32 - 1),
+       grade=st.integers(1, 4), levels=st.integers(1, 2))
+def test_pleth_log_matches_the_full_log_conv(name, seed, grade, levels):
+    """pleth_log convolves only on the slots its Moebius sum reads, and keeps
+    the values, support order and term order of the full convolution
+    logarithm."""
+    mon = _LOG_MONOIDS[name]
+    big = _shuffled_function(mon, random.Random(seed), grade, grade * levels)
+    for n in range(1, grade * levels + 1):
+        big.set(mon.zero(), n, 1)
+    got, ref = pleth_log(big), reference_pleth_log(big)
+    assert list(got.support()) == list(ref.support())
+    assert _terms(got) == _terms(ref)
+
+
+@pytest.mark.parametrize("mon, grade, levels", [
+    (DiscreteLattice(1), 6, 1),
+    (DiscreteLattice(1), 4, 3),
+    (DiscreteLattice(2), 4, 2),
+    (FreeOrbitMonoid(affine_line_census(2, 3)), 3, 1),
+    (FreeOrbitMonoid(affine_line_census(2, 3)), 2, 3),
+], ids=["lattice-1-g6", "lattice-1-g4", "lattice-2-g4", "free-orbit-g3", "free-orbit-g2"])
+def test_log_demand_is_what_the_moebius_sum_reads(mon, grade, levels):
+    """A slot is in log_demand exactly when dropping it from a dense function
+    changes the Moebius sum of Adams operations that pleth_log applies."""
+    budget = grade * levels
+    dense = [(x, n, k + 1) for k, (n, x) in enumerate(
+        (n, x) for n in range(1, budget + 1) for x in mon.fixed_elements(n, grade))]
+    full = moebius_sum(CountingFunction(mon, grade, budget, dense), levels)
+    read = set()
+    for slot in dense:
+        rest = CountingFunction(mon, grade, budget, [e for e in dense if e is not slot])
+        if moebius_sum(rest, levels).differences(full, grade, levels):
+            read.add(slot[:2])
+    caps = log_demand(grade, budget)
+    assert read == {(x, n) for x, n, _ in dense if mon.grade(x) <= caps.get(n, -1)}
 
 
 def test_adams_matches_trace_fiber_definition():
@@ -447,6 +497,9 @@ def _symmetric_quivers(draw):
 @given(quiver=_symmetric_quivers(), t0=st.integers(2, 5),
        bits=st.sampled_from([(1, 1), (0, 0), (1, 0), (0, 1)]),
        grade=st.integers(1, 3), levels=st.integers(1, 2))
+# the 2-loop quiver up to dimension 10 at 2 levels: the logarithm reads 50 of
+# the 220 slots within truncation
+@example(quiver=Quiver(1, [(0, 0, 2)]), t0=2, bits=(1, 1), grade=10, levels=2)
 def test_evaluation_commutes_with_pleth_log(quiver, t0, bits, grade, levels):
     """ev(pleth_log F) = pleth_log(ev F) for the stacky counting function F of
     a symmetric quiver, with ev F computed independently from integer counts."""
