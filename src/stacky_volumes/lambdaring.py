@@ -6,7 +6,8 @@ unless x is fixed by the n-th Frobenius power.  Convolution multiplies the
 level-n values of every pair of support elements into their sum; Adams psi_m
 moves each level-nm value to the trace Tr_{nm/n} of its element at level n;
 Sym/Log are the plethystic exponential and logarithm; log_direct evaluates
-the closed Moebius formula for Log by direct enumeration of trace tuples and
+the closed Moebius formula for Log by direct enumeration of multisets of
+trace tuples, each weighted by its multinomial count of orderings, and
 serves as the module's internal cross-oracle for pleth_log.
 
 Truncation is two-dimensional: a level bound N and a total-grade bound G.
@@ -393,15 +394,21 @@ def pleth_log(big_f: CountingFunction) -> CountingFunction:
 
 def log_direct(big_f: CountingFunction) -> CountingFunction:
     """The closed Moebius formula for the plethystic logarithm, evaluated by
-    direct enumeration of trace tuples:
+    direct enumeration of multisets of trace tuples:
 
         Log(1+f)(x)_n = sum_{m,s} (-1)^(s-1) mu(m)/(ms)
                         sum_{(y_i) level-nm fixed, sum Tr(y_i) = x}
                         f(y_1)_{nm} ... f(y_s)_{nm}.
 
-    Tuples are enumerated from the support of f (zero factors kill a tuple),
-    accumulating into x = sum of traces.  Agrees with pleth_log on every input
-    within truncation; the pair is this module's central cross-oracle.
+    The summand does not depend on the order of the tuple, so the inner sum
+    runs over multisets, the non-decreasing index sequences i_1 <= ... <= i_s
+    into the level-nm support of f (zero factors kill a tuple), each weighted
+    by its s!/prod k_j! orderings for multiplicities k_j: the coefficient is
+    (-1)^(s-1) mu(m)/m (s-1)!/prod k_j!.  Appending an index whose run then
+    has length k multiplies the ordering count by s/k.  Values agree with
+    pleth_log on every input within truncation, the pair being this module's
+    central cross-oracle; support order and term order are not those of the
+    ordered-tuple sum.
     """
     _check_augmented_one(big_f)
     mon = big_f.monoid
@@ -412,27 +419,32 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
     unit = CountingFunction.unit(mon, big_f.grade_bound, big_f.level_bound)
     f = big_f - unit
     out = CountingFunction(mon, g, n_out)
+    coefs: dict = {}
     for n, m in _log_reads(g, big_f.level_bound):
         mu = mobius(m)
         pool = [
-            (y, mon.trace(y, n, m), mon.grade(y) * m, v)
+            (mon.trace(y, n, m), mon.grade(y) * m, v)
             for y, v in f.values.get(n * m, {}).items()
             if 1 <= mon.grade(y) <= g // m
         ]
-        if not pool:
-            continue
 
-        def rec(trace_sum, budget, prod, s):
-            if s >= 1:
-                out._accumulate(
-                    trace_sum, n, prod * Fraction((-1) ** (s - 1) * mu, m * s)
-                )
-            for y, tr, gy, v in pool:
-                if gy <= budget:
-                    nxt = tr if trace_sum is None else mon.add(trace_sum, tr)
-                    rec(nxt, budget - gy, prod * v, s + 1)
+        def rec(start, run, trace_sum, budget, prod, s, orderings):
+            for i in range(start, len(pool)):
+                tr, gy, v = pool[i]
+                if gy > budget:
+                    continue
+                k = run + 1 if i == start else 1
+                t, w = s + 1, orderings * (s + 1) // k
+                nxt = tr if trace_sum is None else mon.add(trace_sum, tr)
+                term = prod * v
+                c = coefs.get((m, t, w))
+                if c is None:
+                    c = coefs[m, t, w] = ExactScalar.from_rational(
+                        Fraction((-1) ** (t - 1) * mu * w, m * t))
+                out._accumulate(nxt, n, term * c)
+                rec(i, k, nxt, budget - gy, term, t, w)
 
-        rec(None, g, ExactScalar.one(), 0)
+        rec(0, 0, None, g, ExactScalar.one(), 0, 1)
     return out
 
 

@@ -757,7 +757,11 @@ _ES_ONE = _new((1, 1, _ZZ_ONE, 1, _ZZ_ONE, 1))
 def root_of_unity(a) -> ExactScalar:
     """The root of unity zeta^a for a in Q/Z; root_of_unity(a)*root_of_unity(b)
     equals root_of_unity(a+b) on the nose."""
-    return ExactScalar({ZERO: CycNumber.root(a)}, None, _normalized=True)
+    a = Fraction(a)
+    d, terms = a.denominator, _expansion(a.numerator, a.denominator)
+    m = math.lcm(*(d // math.gcd(j, d) for j, _ in terms))
+    c = terms[0][1] if m == 1 else {j * m // d: s for j, s in terms}
+    return _new((1, m, {0: c}, 1, _ZZ_ONE if m == 1 else _CYC_ZZ_ONE, 1))
 
 
 def q_power(e) -> ExactScalar:

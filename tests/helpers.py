@@ -1,12 +1,12 @@
 """Shared test utilities: random scalars, random counting functions, the
 brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the plethystic logarithm
-from the full convolution logarithm, the independent truncated
-Euler-product oracle for quiver BPS invariants, the Taylor expansion of a
-rational-function fit, the dict-path scalar arithmetic (with its own
-cyclotomic product, Galois action and inverse) and the normal form by
-Euclid over Q(zeta)[t], evaluation at q^(1/2) = t0, and the per-prefix
-dilated lattice-point count."""
+from the full convolution logarithm and by the ordered-tuple Moebius sum,
+the independent truncated Euler-product oracle for quiver BPS invariants,
+the Taylor expansion of a rational-function fit, the dict-path scalar
+arithmetic (with its own cyclotomic product, Galois action and inverse) and
+the normal form by Euclid over Q(zeta)[t], evaluation at q^(1/2) = t0, and
+the per-prefix dilated lattice-point count."""
 
 import functools
 import itertools
@@ -150,6 +150,39 @@ def reference_pleth_log(big_f: CountingFunction) -> CountingFunction:
     slots its Moebius sum reads: the oracle for values, support order and
     term order."""
     return moebius_sum(log_conv(big_f), big_f.level_bound // big_f.grade_bound)
+
+
+def reference_log_direct(big_f: CountingFunction) -> CountingFunction:
+    """The closed Moebius formula for the plethystic logarithm by the
+    ordered-tuple sum, as log_direct computed it before it enumerated
+    multisets: every ordering of every tuple of level-nm support elements
+    within the grade bound, each with coefficient (-1)^(s-1) mu(m)/(ms).
+    The oracle for log_direct's values and support."""
+    mon = big_f.monoid
+    g = big_f.grade_bound
+    n_out = big_f.level_bound // g
+    f = big_f - CountingFunction.unit(mon, g, big_f.level_bound)
+    out = CountingFunction(mon, g, n_out)
+    for n in range(1, n_out + 1):
+        for m in range(1, g + 1):
+            mu = mobius(m)
+            if not mu:
+                continue
+            pool = [(mon.trace(y, n, m), mon.grade(y) * m, v)
+                    for y, v in f.values.get(n * m, {}).items()
+                    if 1 <= mon.grade(y) <= g // m]
+
+            def rec(trace_sum, budget, prod, s):
+                if s >= 1:
+                    out._accumulate(trace_sum, n,
+                                    prod * Fraction((-1) ** (s - 1) * mu, m * s))
+                for tr, gy, v in pool:
+                    if gy <= budget:
+                        nxt = tr if trace_sum is None else mon.add(trace_sum, tr)
+                        rec(nxt, budget - gy, prod * v, s + 1)
+
+            rec(None, g, ExactScalar.one(), 0)
+    return out
 
 
 def pointwise_mul(f: CountingFunction, g: CountingFunction) -> CountingFunction:

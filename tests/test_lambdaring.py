@@ -15,6 +15,7 @@ from helpers import (
     random_scalar,
     reference_adams,
     reference_convolve,
+    reference_log_direct,
     reference_pleth_log,
     trace_fiber,
 )
@@ -308,6 +309,39 @@ def test_log_direct_equals_pleth_log():
             lg = pleth_log(big)
             lgd = log_direct(big)
             assert lgd.agrees_with(lg, G, N), mon
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LOG_MONOIDS)), seed=st.integers(0, 2**32 - 1),
+       grade=st.integers(1, 4), levels=st.integers(1, 2))
+def test_log_direct_matches_the_ordered_tuple_sum(name, seed, grade, levels):
+    """log_direct sums over multisets with their multinomial weights; it has
+    the values and the support of the sum over every ordering of every
+    tuple.  One value carries a denominator."""
+    mon = _LOG_MONOIDS[name]
+    rng = random.Random(seed)
+    big = _shuffled_function(mon, rng, grade, grade * levels)
+    x0, n0, v0 = next(big.support())
+    big.set(x0, n0, v0 / (q_power(1) + rng.choice([1, 2])))
+    for n in range(1, grade * levels + 1):
+        big.set(mon.zero(), n, 1)
+    got, ref = log_direct(big), reference_log_direct(big)
+    assert {(x, n) for x, n, _ in got.support()} == {(x, n) for x, n, _ in ref.support()}
+    assert not got.differences(ref, grade, levels)
+
+
+def test_log_direct_multiset_weight_closed_form():
+    """Log F at level 1 by hand, on N^2 with F = 1 + a[e1] + b[e2] at level 1
+    and a2[e1] at level 2: the multiset {e1, e2} has weight (2-1)!/(1! 1!)
+    = 1, {e1, e1} has weight (2-1)!/2! = 1/2, both with sign -1, and psi_2
+    of a2 enters with mu(2)/2 = -1/2."""
+    a, b, a2 = q_power(1) + 2, q_power(F(1, 2)) * 3, q_power(-1) - 5
+    mon = DiscreteLattice(2)
+    big = CountingFunction.unit(mon, 2, 2) + CountingFunction(
+        mon, 2, 2, [((1, 0), 1, a), ((0, 1), 1, b), ((1, 0), 2, a2)])
+    lg = log_direct(big)
+    assert lg.value((1, 1), 1) == -a * b
+    assert lg.value((2, 0), 1) == -(a * a + a2) / 2
 
 
 def test_log_direct_of_unit_is_zero():

@@ -41,6 +41,26 @@ def test_root_multiplicativity():
         assert root_of_unity(a) * root_of_unity(b) == root_of_unity(a + b)
 
 
+def _ordered_form(x):
+    """x's integer form with every dict, nested ones included, as its list of
+    items, so that comparing two forms compares key order too."""
+    def ordered(p):
+        return [(k, ordered(v)) for k, v in p.items()] if isinstance(p, dict) else p
+    return [ordered(p) for p in (x._n, x._m, x._num, x._nd, x._den, x._dd)]
+
+
+def test_root_of_unity_form_matches_the_cyc_number_path():
+    """root_of_unity builds its integer form from the basis expansion; it is
+    the form the general constructor makes from CycNumber.root, key order
+    included."""
+    for d in range(1, 61):
+        for j in range(-d, 2 * d):
+            a = F(j, d)
+            ref = ExactScalar({ZERO: CycNumber.root(a)}, None, _normalized=True)
+            got = root_of_unity(a)
+            assert _ordered_form(got) == _ordered_form(ref), a
+
+
 def test_zeta_reduction_all_denominators_up_to_24():
     for d in range(1, 25):
         for k in range(d):
