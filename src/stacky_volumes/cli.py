@@ -29,9 +29,10 @@ COMMANDS = ("ehrhart", "volume", "bps", "delta", "plid-check", "plethystic")
 # q only sizes finite-field tables (capped far lower) and numeric display;
 # the bound keeps the trial-division prime-power check instant.
 _Q_MAX = 2**31
-# ehrhart: prefix-grid points count_dilation may sweep over r = 1..order,
-# each dilation charged at least _DILATION_MIN for its fixed cost.  The
-# benchmark's tetrahedra sweep 2.8 million; 10^8 is a few seconds of numpy.
+# ehrhart: prefix-grid points of the dilated bounding boxes over r = 1..order,
+# an upper bound of the points count_dilation sweeps (only those of the
+# projection), each dilation charged at least _DILATION_MIN for its fixed
+# cost.  The budget charges the box; 10^8 is a few seconds of numpy.
 _PREFIX_BUDGET = 10**8
 _DILATION_MIN = 2**10
 # bps: work of the plethystic logarithm on the slots it reads, charged per
@@ -81,9 +82,10 @@ _PLID_BUDGET = 3 * 10**6
 # orbit and twist order r up to the larger of R and volume_fit's first
 # order, r^(k+l) candidate characters plus r^(k+1) prod gcd(d_i, r) twisted
 # points.  Admitted at the edge: the (1, -1) quotient at R = 143 (1.4 s),
-# torus rank 2 at R = 35 (2.0 s), torus and mu_2 at R = 105 (3.0 s).  Series
-# with no rational fit, which climb volume_fit's whole ladder (weights
-# (1, -2), or all 1), are not charged beyond the first order.
+# torus rank 2 at R = 35 (2.0 s), torus and mu_2 at R = 105 (3.0 s).  Only
+# the first rung of volume_fit's ladder is charged; a torus row with a
+# nonzero sum (weights (1, -2), or all 1), whose series has no rational fit
+# and would climb the whole ladder, is refused before any fibre is enumerated.
 _VOLUME_BUDGET = 3 * 10**6
 # a decimal exponent past Python's int-string digit limit (4300) would make
 # Fraction build a number of that many digits
@@ -181,8 +183,8 @@ def _cmd_ehrhart(params):
 
 
 def _ehrhart_preflight(poly, order):
-    """Refuse, before counting, a count that int64 cannot hold or that sweeps
-    more prefix-grid points than _PREFIX_BUDGET."""
+    """Refuse, before counting, a count that int64 cannot hold or whose
+    bounding boxes hold more prefix-grid points than _PREFIX_BUDGET."""
     if poly.dim >= 2 and not poly.is_empty and eh.dilation_bound(poly, order) >= eh.INT64_LIMIT:
         raise SchemaViolation(
             f"counting dilation {order} needs integers beyond the int64 limit 2^63;"
@@ -194,7 +196,7 @@ def _ehrhart_preflight(poly, order):
         work += max(eh.prefix_points(poly, r) - _DILATION_MIN, 0)
     if work > _PREFIX_BUDGET:
         raise SchemaViolation(
-            f"counting dilations 1..{order} sweeps more than the prefix-grid budget"
+            f"the bounding boxes of dilations 1..{order} hold more than the prefix-grid budget"
             f" of {_PREFIX_BUDGET:,} points; use a smaller polytope or 'truncation'")
 
 
@@ -226,6 +228,14 @@ def _cmd_volume(params):
         raise SchemaViolation(
             f"enumerating the {q}^{n} fibre points is over the volume budget of"
             f" {_VOLUME_BUDGET:,}; use a smaller 'n' or 'q'")
+    # the origin is fixed by the whole torus, so a torus row summing to s != 0
+    # gives the coefficient of T^r, at each prime r > |s|, a q-exponent of
+    # denominator r, which no rational function over Q(q^(1/delta)) has
+    for i, row in enumerate(weights[:k]):
+        if sum(row):
+            raise SchemaViolation(
+                f"torus row {i} of 'weights' sums to {sum(row)}, not 0, so its volume series"
+                " has no rational fit; use torus weights that sum to 0")
     datum = st.ToricStackDatum(n, k, finite, weights, q)
     order = _int(params, ("R", "truncation"), 12)
     _volume_preflight(datum, order, fibre)

@@ -6,7 +6,8 @@ H-representations mean {x : A x >= b}.  For H-representation input,
 emptiness and boundedness are certified by exact Fourier-Motzkin feasibility
 on the system and its recession cone; a convex hull of given vertices is
 nonempty and bounded by construction.  Bounding boxes come from vertex
-enumeration over all d x d inequality subsystems (no LP solver).
+enumeration over all d x d inequality subsystems (no LP solver).  Counts
+sweep the lattice points of the Fourier-Motzkin projection without x_d.
 """
 
 from __future__ import annotations
@@ -54,27 +55,32 @@ def solve_square(rows, rhs):
     return tuple(m[i][d] for i in range(d))
 
 
+def _fm_eliminate(system, var):
+    """One Fourier-Motzkin step: the system of (coeffs, rhs) pairs, rows
+    coeffs . x >= rhs, that cuts out its projection with x_var eliminated."""
+    lowers, uppers, new = [], [], []
+    for coeffs, r in system:
+        c = coeffs[var]
+        if c > 0:
+            lowers.append((coeffs, r, c))
+        elif c < 0:
+            uppers.append((coeffs, r, c))
+        else:
+            new.append((coeffs, r))
+    for lc, lr, lv in lowers:
+        for uc, ur, uv in uppers:
+            # x >= (lr - ...)/lv and x <= (ur - ...)/uv combine
+            coeffs = tuple(a / lv - b / uv for a, b in zip(lc, uc))
+            new.append((coeffs, lr / lv - ur / uv))
+    return new
+
+
 def fm_feasible(rows, rhs) -> bool:
     """Exact feasibility of {x : rows @ x >= rhs} by Fourier-Motzkin."""
     system = [(tuple(Fraction(c) for c in row), Fraction(r)) for row, r in zip(rows, rhs)]
     d = len(system[0][0]) if system else 0
     for var in range(d):
-        lowers, uppers, rest = [], [], []
-        for coeffs, r in system:
-            c = coeffs[var]
-            if c > 0:
-                lowers.append((coeffs, r, c))
-            elif c < 0:
-                uppers.append((coeffs, r, c))
-            else:
-                rest.append((coeffs, r))
-        new = rest
-        for lc, lr, lv in lowers:
-            for uc, ur, uv in uppers:
-                # x >= (lr - ...)/lv and x <= (ur - ...)/uv combine
-                coeffs = tuple(a / lv - b / uv for a, b in zip(lc, uc))
-                new.append((coeffs, lr / lv - ur / uv))
-        system = new
+        system = _fm_eliminate(system, var)
     return all(r <= 0 for _, r in system)
 
 
@@ -177,6 +183,16 @@ def _normalize_ineq(n, off):
     return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
 
 
+def _projection(rows, rhs):
+    """Integer rows and right-hand sides of {x : A x >= b} with its last
+    coordinate eliminated, made primitive (so integral) and deduplicated.
+    Rows left with no coefficient hold on a nonempty system and are dropped."""
+    last = len(rows[0]) - 1
+    system = dict.fromkeys(_normalize_ineq(c[:last], r)
+                           for c, r in _fm_eliminate(list(zip(rows, rhs)), last) if any(c))
+    return [[int(c) for c in row] for row, _ in system], [int(b) for _, b in system]
+
+
 class RationalPolytope:
     """Bounded rational polytope {x : A x >= b}, with certified bounding box."""
 
@@ -202,11 +218,12 @@ class RationalPolytope:
         self.rows = [tuple(Fraction(c) for c in row) for row in rows]
         self.rhs = [Fraction(r) for r in rhs]
         self.dim = len(self.rows[0]) if self.rows else 0
-        # L*A and L*b for the common denominator L, the integer system that
-        # every dilation counts against
+        # L*A and L*b for the common denominator L, and the rows of the
+        # projection Q: the integer systems that every dilation counts against
         lcm = math.lcm(*(x.denominator for x in itertools.chain(*self.rows, self.rhs)))
         self._int_rows = [[c.numerator * (lcm // c.denominator) for c in row] for row in self.rows]
         self._int_rhs = [b.numerator * (lcm // b.denominator) for b in self.rhs]
+        self._proj_rows, self._proj_rhs = _projection(self.rows, self.rhs)
 
     def _set_vertices(self):
         self.vertices = self._enumerate_vertices() if not self.is_empty else []
@@ -253,9 +270,9 @@ class RationalPolytope:
         }
 
 
-# Prefix points per numpy broadcast in count_dilation, for every dimension.
-# A chunk holds d + 3 int64 arrays of this length (under 0.4 MiB at d = 3);
-# 2^13 counted the benchmark's tetrahedra as fast as 2^14 with half of that.
+# Points per numpy broadcast in count_dilation, for every dimension.  A chunk
+# and its chunk of the outer box hold 2d + 7 int64 arrays of this length (under
+# 1 MiB at d = 3); 2^13 counted the benchmark's tetrahedra as fast as 2^14.
 _CHUNK = 2**13
 # count_dilation counts in int64; dilation_bound must stay below this.
 INT64_LIMIT = 2**63
@@ -264,29 +281,30 @@ INT64_LIMIT = 2**63
 def _integer_form(polytope: RationalPolytope, r: int):
     """The r-th dilation over the integers: rows L*A, right-hand sides r*L*b
     (L the common denominator), so its points are the z in Z^d with
-    (L*A) z >= r*L*b, and the integer ranges of its bounding box."""
+    (L*A) z >= r*L*b, the same for rQ, and its bounding box's integer ranges."""
     rhs = [b * r for b in polytope._int_rhs]
+    proj_rhs = [b * r for b in polytope._proj_rhs]
     ranges = [(math.ceil(lo * r), math.floor(hi * r)) for lo, hi in polytope.box]
-    return polytope._int_rows, rhs, ranges
+    return polytope._int_rows, rhs, polytope._proj_rows, proj_rhs, ranges
 
 
-def _int64_bound(rows, rhs, ranges) -> int:
+def _int64_bound(rows, rhs, proj_rows, proj_rhs, ranges) -> int:
     zmax = [max(1, abs(lo), abs(hi)) for lo, hi in ranges]
     row_bound = max(abs(b) + sum(abs(c) * z for c, z in zip(row, zmax))
-                    for row, b in zip(rows, rhs))
-    return max(row_bound, _CHUNK * (2 * zmax[-1] + 1))
+                    for row, b in itertools.chain(zip(rows, rhs), zip(proj_rows, proj_rhs)))
+    return max(row_bound, _CHUNK * (2 * max(zmax[-2:]) + 1))
 
 
 def dilation_bound(polytope: RationalPolytope, r: int) -> int:
     """Bound on every integer count_dilation forms at dilation r when d >= 2:
-    |b| + sum_i |c_i| max|z_i| over the integer rows, and a chunk's sum of
-    last-coordinate widths.  It does not decrease as r grows."""
+    |b| + sum_i |c_i| max|z_i| over the integer rows of rP and of rQ, and a
+    chunk's sum of interval widths.  It does not decrease as r grows."""
     return _int64_bound(*_integer_form(polytope, r))
 
 
 def prefix_points(polytope: RationalPolytope, r: int) -> int:
-    """Size of the grid count_dilation sweeps at dilation r: the integer
-    points of the dilated bounding box without its last coordinate."""
+    """Upper bound on the prefix points count_dilation sweeps at dilation r
+    (those in rQ): the dilated bounding box's points without z_d."""
     return math.prod(max(0, math.floor(hi * r) - math.ceil(lo * r) + 1)
                      for lo, hi in polytope.box[:-1])
 
@@ -294,13 +312,15 @@ def prefix_points(polytope: RationalPolytope, r: int) -> int:
 def count_dilation(polytope: RationalPolytope, r: int) -> int:
     """Number of points of (1/r)Z^d satisfying the inequalities.
 
-    For d >= 2 the integer points z of the dilated bounding box split into a
-    prefix (z_1 .. z_{d-1}) and a last coordinate.  Over a prefix point each
+    For d >= 2 the integer points z of rP split into a prefix
+    (z_1 .. z_{d-1}) and a last coordinate.  Over a prefix point each
     inequality c.z >= b bounds z_d on one side by rest / c_d, with
-    rest = b - sum_{i<d} c_i z_i, so the count is a sum of interval widths.
-    The flattened prefix grid is swept _CHUNK points at a time, each chunk
-    one numpy broadcast in int64 (EhrhartError when dilation_bound does not
-    fit).  d = 1 is a closed form over Python ints.
+    rest = b - sum_{i<d} c_i z_i, so the count is a sum of interval widths
+    over the prefix points in rQ, Q the projection of P without z_d.  Q's
+    rows bound z_{d-1} the same way over each point of the outer box
+    (z_1 .. z_{d-2}); the ragged intervals, laid end to end, are swept _CHUNK
+    prefix points at a time in int64 (EhrhartError when dilation_bound does
+    not fit).  d = 1 is a closed form over Python ints.
     """
     if r < 1:
         raise ValueError("dilation index must be positive")
@@ -309,7 +329,7 @@ def count_dilation(polytope: RationalPolytope, r: int) -> int:
     d = polytope.dim
     if d == 0:
         return 1
-    rows, rhs, ranges = _integer_form(polytope, r)
+    rows, rhs, proj_rows, proj_rhs, ranges = form = _integer_form(polytope, r)
     if any(lo > hi for lo, hi in ranges):
         return 0
     if d == 1:
@@ -323,26 +343,27 @@ def count_dilation(polytope: RationalPolytope, r: int) -> int:
                 return 0
         return max(0, hi - lo + 1)
 
-    if _int64_bound(rows, rhs, ranges) >= INT64_LIMIT:
+    if _int64_bound(*form) >= INT64_LIMIT:
         raise EhrhartError(f"dilation {r} needs integers beyond the int64 limit 2^63")
-    prefix, (z_lo, z_hi) = ranges[:-1], ranges[-1]
-    shape = [hi - lo + 1 for lo, hi in prefix]
+    outer = ranges[:-2]
+    shape = [hi - lo + 1 for lo, hi in outer]
     size = math.prod(shape)
     total = 0
     for start in range(0, size, _CHUNK):
-        zs = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
-        total += _count_chunk(zs, prefix, rows, rhs, z_lo, z_hi)
+        flat = np.arange(start, min(start + _CHUNK, size))
+        zs = [z + lo for z, (lo, _) in zip(np.unravel_index(flat, shape), outer)] if outer else []
+        y_lo, y_hi = _interval(zs, flat.size, proj_rows, proj_rhs, *ranges[-2])
+        total += _sweep(zs, y_lo, y_hi, rows, rhs, ranges[-1])
     return total
 
 
-def _count_chunk(zs, prefix, rows, rhs, z_lo, z_hi) -> int:
-    """Sum of the last-coordinate widths over one chunk of the prefix grid,
-    given as index arrays zs into the prefix ranges.  A function of its own so
-    that one chunk's arrays are freed before the next is built."""
-    for z, (z0, _) in zip(zs, prefix):
-        z += z0
-    lo = np.full(zs[0].shape, z_lo, dtype=np.int64)
-    hi = np.full(zs[0].shape, z_hi, dtype=np.int64)
+def _interval(zs, n, rows, rhs, z_lo, z_hi):
+    """Integer bounds (lo, hi) of the next coordinate over n points whose
+    earlier coordinates are the arrays zs, within [z_lo, z_hi]; hi is lo - 1
+    where the interval is empty.  A function of its own so that one chunk's
+    arrays are freed before the next is built."""
+    lo = np.full(n, z_lo, dtype=np.int64)
+    hi = np.full(n, z_hi, dtype=np.int64)
     rest = np.empty_like(lo)
     for row, b in zip(rows, rhs):
         rest.fill(b)
@@ -350,18 +371,37 @@ def _count_chunk(zs, prefix, rows, rhs, z_lo, z_hi) -> int:
             if c:
                 rest -= c * z
         a = row[-1]
-        if a > 0:  # z_d >= ceil(rest / a)
+        if a > 0:  # next >= ceil(rest / a)
             rest += a - 1
             rest //= a
             np.maximum(lo, rest, out=lo)
-        elif a < 0:  # z_d <= floor(rest / a)
+        elif a < 0:  # next <= floor(rest / a)
             rest //= a
             np.minimum(hi, rest, out=hi)
-        else:  # no z_d satisfies the row where rest > 0
+        else:  # no value satisfies the row where rest > 0
             hi[rest > 0] = z_lo - 1
-    # clip an empty interval (hi < lo) to width 0 before subtracting
     np.maximum(hi, lo - 1, out=hi)
-    return int((hi - lo).sum()) + hi.size
+    return lo, hi
+
+
+def _sweep(zs, y_lo, y_hi, rows, rhs, last_range) -> int:
+    """Sum of the last-coordinate widths over the prefix points (zs[k], y)
+    with y_lo[k] <= y <= y_hi[k]: the intervals, laid end to end, are cut
+    into chunks of _CHUNK points, each expanded with np.repeat."""
+    ends = np.cumsum(y_hi - y_lo + 1)
+    starts = ends - (y_hi - y_lo + 1)
+    size = int(ends[-1])
+    total = 0
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        k0, k1 = np.searchsorted(ends, (start, stop - 1), side="right") + (0, 1)
+        k = np.repeat(np.arange(k0, k1), np.minimum(ends[k0:k1], stop)
+                      - np.maximum(starts[k0:k1], start))
+        flat = np.arange(start, stop)
+        lo, hi = _interval([z[k] for z in zs] + [flat + (y_lo - starts)[k]], flat.size,
+                           rows, rhs, *last_range)
+        total += int((hi - lo).sum()) + flat.size
+    return total
 
 
 def ehrhart_series(polytope: RationalPolytope, order: int) -> Series:

@@ -505,14 +505,12 @@ class ExactScalar:
 
     __slots__ = ("_n", "_m", "_num", "_nd", "_den", "_dd", "_view", "_key")
 
-    def __init__(self, num: dict, den: dict | None = None, _normalized: bool = False):
+    def __init__(self, num: dict, den: dict | None = None):
         num = {e: c for e, c in num.items() if not c.is_zero()}
         den = _DEN_ONE if den is None else {e: c for e, c in den.items() if not c.is_zero()}
         if not den:
             raise ZeroDivisionError("zero denominator")
-        form = _int_form(num, den)
-        self._n, self._m, self._num, self._nd, self._den, self._dd = (
-            form if _normalized else _normal(*form))
+        self._n, self._m, self._num, self._nd, self._den, self._dd = _normal(*_int_form(num, den))
         self._view = self._key = None
 
     # -- constructors -------------------------------------------------------
@@ -656,8 +654,10 @@ class ExactScalar:
         9 * q^(1/2).  Exact rational arithmetic throughout.
         """
         q0 = Fraction(q0)
-        num, den = (sum((ExactScalar({e % 1: c.scale(q0 ** math.floor(e))}, None, True)
-                         for e, c in p.items()), _ES_ZERO) for p in (self.num, self.den))
+        # each term is in normal form already; at q0 = 0 those of degree >= 1 vanish
+        num, den = (sum((_new(_int_form({e % 1: c.scale(q0 ** math.floor(e))}, _DEN_ONE))
+                         for e, c in p.items() if q0 or e < 1), _ES_ZERO)
+                    for p in (self.num, self.den))
         return num / den
 
     def as_rational(self) -> Fraction:

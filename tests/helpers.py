@@ -19,11 +19,14 @@ from stacky_volumes.lambdaring import CountingFunction, adams, log_conv, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
 from stacky_volumes.ratfun import Series
 from stacky_volumes.scalar import (
+    _DEN_ONE,
     DEFAULT_CONVENTION,
     ZERO,
     CycNumber,
     ExactScalar,
     _expansion,
+    _int_form,
+    _new,
     _vmul,
     factor,
     half_l_level,
@@ -433,9 +436,15 @@ def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
     The oracle for values, key order and every coefficient's term order."""
     if op != "/" and a.is_laurent() and b.is_laurent():
         bn = pneg(b.num) if op == "-" else b.num
-        return ExactScalar(padd(a.num, bn) if op in "+-" else pmul(a.num, b.num), None,
-                           _normalized=True)
-    return ExactScalar(*euclid_normalize(*dict_fraction(op, a, b)), _normalized=True)
+        return form_scalar(padd(a.num, bn) if op in "+-" else pmul(a.num, b.num))
+    return form_scalar(*euclid_normalize(*dict_fraction(op, a, b)))
+
+
+def form_scalar(num: dict, den: dict | None = None) -> ExactScalar:
+    """The scalar whose integer form is that of num/den as given, with no
+    normal form taken (den None means 1): how the oracles turn a reduced dict
+    fraction, with no zero coefficient, into a scalar."""
+    return _new(_int_form(num, _DEN_ONE if den is None else den))
 
 
 def ev(x: ExactScalar, t0: int) -> ExactScalar:

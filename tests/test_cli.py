@@ -343,6 +343,10 @@ def test_q_above_bound_exits_2_within_a_second(tmp_path, capsys, command, params
     ({"vertices": [["1/1000000007"], ["1"]]}, "prefix-grid budget"),
     # Fraction would build a number of a hundred million digits
     ({"vertices": [["0"], ["1e99999999"]]}, "decimal exponent"),
+    # P's integer rows stay near 2^60, but its projection along y has the row
+    # (2^61 - 1) x >= 2^60 - 1, whose terms pass 2^63 at dilation 2
+    ({"A": [["1", str(2**60)], ["1", str(1 - 2**60)], ["-1", "0"]], "b": ["1", "0", "-2"],
+      "truncation": 2}, "int64 limit 2^63"),
 ])
 def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, limit):
     previous = signal.signal(signal.SIGALRM, _too_slow)
@@ -381,6 +385,38 @@ def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
     assert code == 2
     assert err["error"]["kind"] == "SchemaViolation"
     assert "bps budget of 6,000,000" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("weights, R, row_sum", [
+    # each climbed volume_fit's whole ladder before exiting 1 (12.2 s, 5.4 s,
+    # 1.4 s, 1.3 s), and the last was still running at 40 s
+    ([[1, -2]], 12, -1),
+    ([[1, 1]], 12, 2),
+    ([[1, 1, -1]], 12, 1),
+    ([[1, 0]], 12, 1),
+    ([[1] * 7], 19, 7),
+])
+def test_volume_torus_row_with_nonzero_sum_exits_2_within_a_second(
+        tmp_path, capsys, weights, R, row_sum):
+    params = {"n": len(weights[0]), "torusRank": 1, "weights": weights, "q": 3, "R": R}
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, err = run_error(tmp_path, capsys, "volume", params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert f"torus row 0 of 'weights' sums to {row_sum}" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("weights", [[[1, 1, -2]], [[1, -1, 1, -1]]])
+def test_volume_torus_rows_summing_to_zero_fit(tmp_path, weights):
+    code, report = run_cli(["volume"], tmp_path,
+                           {"n": len(weights[0]), "torusRank": 1, "weights": weights, "q": 3})
+    assert code == 0
+    assert "volume" in report and report["fit"]
 
 
 def test_bps_within_the_budget_runs(tmp_path):

@@ -142,6 +142,91 @@ def test_count_dilation_matches_oracles(chunk, poly, r):
     assert count == reference_count_dilation(poly, r) == brute_count(poly, r)
 
 
+@st.composite
+def _thin_simplices(draw):
+    """A simplex along the diagonal of its bounding box (d = 2, 3): its two
+    ends on the diagonal, its other corners within 1/den of it in each
+    coordinate, so the projection holds a small share of the box's prefix
+    points."""
+    d = draw(st.sampled_from([2, 3]))
+    den = draw(st.integers(1, 3))
+    lo = draw(st.integers(0, 2))
+    hi = lo + draw(st.integers(2, 4 if d == 3 else 8))
+    pts = [[F(lo, den)] * d, [F(hi, den)] * d]
+    for _ in range(d - 1):
+        t = draw(st.integers(lo, hi))
+        pts.append([F(t + draw(st.integers(-1, 1)), den) for _ in range(d)])
+    try:
+        return RationalPolytope.from_vertices(pts)
+    except EhrhartError:
+        reject()
+
+
+@st.composite
+def _slanted_order_simplices(draw):
+    """The H-rep order simplex lo <= x_1 <= ... <= x_4 <= hi in d = 4, cut by
+    one slanted inequality; uncut, it fills 1/24 of its box."""
+    lo = draw(_coord)
+    hi = lo + draw(st.builds(F, st.integers(1, 3), st.integers(1, 2)))
+    rows, rhs = [[1, 0, 0, 0], [0, 0, 0, -1]], [lo, -hi]
+    for i in range(3):
+        row = [0] * 4
+        row[i], row[i + 1] = -1, 1
+        rows.append(row)
+        rhs.append(0)
+    rows.append(draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
+    rhs.append(draw(st.builds(F, st.integers(-6, 6), st.integers(1, 2))))
+    return RationalPolytope(rows, rhs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ehrhart._CHUNK])
+@settings(max_examples=20, deadline=None)
+@given(poly=st.one_of(_thin_simplices(), _slanted_order_simplices()), r=st.integers(1, 2))
+def test_count_dilation_on_thin_polytopes_matches_oracles(chunk, poly, r):
+    with mock.patch.object(ehrhart, "_CHUNK", chunk):
+        count = count_dilation(poly, r)
+    assert count == reference_count_dilation(poly, r) == brute_count(poly, r)
+
+
+# 0 <= x <= 3, 1/4 <= 2y - x <= 3/4, 0 <= z <= 1: at r = 1 no integer x has
+# an integer y, so every slice of the projection over the box is empty; at
+# r = 2 only the slices over odd x hold points
+_EMPTY_SLICES = RationalPolytope(
+    [[1, 0, 0], [-1, 0, 0], [-1, 2, 0], [1, -2, 0], [0, 0, 1], [0, 0, -1]],
+    [0, -3, F(1, 4), F(-3, 4), 0, -1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ehrhart._CHUNK])
+def test_count_dilation_with_empty_slices_matches_oracles(chunk):
+    with mock.patch.object(ehrhart, "_CHUNK", chunk):
+        counts = [count_dilation(_EMPTY_SLICES, r) for r in range(1, 7)]
+    assert counts[0] == 0
+    assert counts == [reference_count_dilation(_EMPTY_SLICES, r) for r in range(1, 7)]
+    assert counts == [brute_count(_EMPTY_SLICES, r) for r in range(1, 7)]
+
+
+def test_count_dilation_benchmark_tetrahedron():
+    # the shape of the benchmark's tetrahedra: corners 1/12 (1,1,1) and
+    # 71/12 (1,1,1) and two points of (1/12)Z^3 between them
+    poly = RationalPolytope.from_vertices(
+        [[F(1, 12)] * 3, [F(71, 12)] * 3, [F(9, 4), F(31, 12), F(2, 3)],
+         [F(65, 12), F(17, 12), F(3)]])
+    for r in (1, 12, 62):
+        assert count_dilation(poly, r) == reference_count_dilation(poly, r)
+
+
+def test_count_dilation_refuses_projection_int64_overflow():
+    # P's integer rows stay near 2^60 at r = 2, but eliminating y leaves the
+    # row (p + q) x >= q of its projection, whose terms pass 2^63
+    p, q = 2**60, 2**60 - 1
+    poly = RationalPolytope([[1, p], [1, -q], [-1, 0]], [1, 0, -2])
+    rows, rhs, _, _, ranges = ehrhart._integer_form(poly, 2)
+    assert ehrhart._int64_bound(rows, rhs, [], [], ranges) < ehrhart.INT64_LIMIT
+    assert count_dilation(poly, 1) == 2
+    with pytest.raises(EhrhartError, match="int64"):
+        count_dilation(poly, 2)
+
+
 def test_count_dilation_refuses_int64_overflow():
     # integer rows near 10^18 at r = 3: numpy would raise or wrap around
     poly = RationalPolytope.from_vertices(

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_fraction, euclid_normalize, ev, padd, pmul, reference_arith
+from helpers import (dict_fraction, euclid_normalize, ev, form_scalar, padd, pmul,
+                     reference_arith)
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -56,7 +57,7 @@ def test_root_of_unity_form_matches_the_cyc_number_path():
     for d in range(1, 61):
         for j in range(-d, 2 * d):
             a = F(j, d)
-            ref = ExactScalar({ZERO: CycNumber.root(a)}, None, _normalized=True)
+            ref = form_scalar({ZERO: CycNumber.root(a)})
             got = root_of_unity(a)
             assert _ordered_form(got) == _ordered_form(ref), a
 
@@ -206,7 +207,7 @@ def test_zero_key_lookups_whatever_made_the_key():
     c = CycNumber({half - half: F(3, 2)})
     made = {
         "from_json": ExactScalar.from_json([{"zeta": "0", "qexp": "0", "coeff": ["3/2"]}]),
-        "arithmetic": ExactScalar({half - half: c}, None, _normalized=True),
+        "arithmetic": form_scalar({half - half: c}),
         "product": q_power(half) * q_power(-half) * F(3, 2),
         "normalize": ExactScalar({F(1): c, F(0): c}, {F(1): CycNumber({ZERO: F(1)}),
                                                      F(0): CycNumber({ZERO: F(1)})}),
@@ -381,8 +382,8 @@ def test_normalize_cyclotomic_numerator_when_gcdheu_gives_up(monkeypatch):
     z3 = {F(1, 2): CycNumber.root(F(1, 3)).scale(3), F(0): CycNumber.from_rational(-2)}
     num, den = pmul(pmul(_qpoly({0: 5, 3: 1}, 2), z3), g), pmul(_qpoly({1: 2, 0: -3}, 2), g)
     out = _normalize(num, den)
-    assert _terms_in_order(ExactScalar(*out, _normalized=True)) == _terms_in_order(
-        ExactScalar(*euclid_normalize(num, den), _normalized=True))
+    assert _terms_in_order(form_scalar(*out)) == _terms_in_order(
+        form_scalar(*euclid_normalize(num, den)))
     assert len(out[1]) == 2
 
 
