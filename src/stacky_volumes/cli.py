@@ -408,6 +408,8 @@ def _cmd_plethystic(params):
         if (not isinstance(el, list) or len(el) != rank
                 or not all(type(c) is int and c >= 0 for c in el)):
             raise SchemaViolation(f"element {el!r} is not {rank} nonnegative integers")
+        if sum(el) > grade:
+            raise SchemaViolation(f"element {el!r} has grade {sum(el)}, over 'grade' = {grade}")
         lev = _int(entry, "level", None)
         try:
             value = ExactScalar.from_json(entry["value"])

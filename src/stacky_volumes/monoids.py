@@ -213,8 +213,12 @@ class Quiver:
             for j in range(self.vertices)
         )
 
-    def key(self):
-        return (self.vertices, tuple(sorted(self.arrows.items())))
+    def __eq__(self, other):
+        return (isinstance(other, Quiver) and self.vertices == other.vertices
+                and self.arrows == other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, tuple(sorted(self.arrows.items()))))
 
     def __repr__(self):
         return f"Quiver(vertices={self.vertices}, arrows={sorted(self.arrows.items())})"
@@ -287,14 +291,13 @@ class LinearObjectsMonoid(DiscreteLattice):
     def __eq__(self, other):
         return (
             isinstance(other, LinearObjectsMonoid)
-            and self.quiver.key() == other.quiver.key()
+            and self.quiver == other.quiver
             and self.q == other.q
             and self.conv == other.conv
         )
 
     def __hash__(self):
-        return hash(("LinearObjectsMonoid", self.quiver.key(), self.q,
-                      self.conv.b1, self.conv.b2))
+        return hash(("LinearObjectsMonoid", self.quiver, self.q, self.conv))
 
     def __repr__(self):
         tag = "Vect" if self.is_vect else "SymmetricQuiver"

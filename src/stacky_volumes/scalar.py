@@ -6,9 +6,8 @@ are cyclotomic numbers, on the prime-power product basis: the roots of unity
 zeta^(k/d) whose component exponent at every prime power p^a dividing d is
 < phi(p^a).  The basis of Q(zeta_d) sits inside that of Q(zeta_M) for d | M,
 so the normal form never depends on the conductor history.  A scalar keeps
-one integer form (see "The integer form" below), and every value reduces
-over the integers; the dicts of CycNumber coefficients are a view built for
-output only.
+one integer form (see "The integer form" below), every value reduces over
+the integers, and output, parsing and hashing read the form directly.
 
 q never gets a numeric value during exact computation; `eval_numeric`
 substitutes q -> q0 (positive real root for fractional exponents) and
@@ -21,17 +20,20 @@ import cmath
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-
-ZERO = Fraction(0)
 
 
 def format_rat(x: Fraction) -> str:
     """Serialize a rational as "p/q" in lowest terms, "p" when q = 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _rat(x.numerator, x.denominator)
+
+
+def _rat(a: int, b: int) -> str:
+    """format_rat(Fraction(a, b)) for b > 0."""
+    g = math.gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
 
 
 @lru_cache(maxsize=None)
@@ -70,90 +72,6 @@ def _expansion(k: int, m: int) -> tuple[tuple[int, int], ...]:
         e = sum(j for j, _ in combo) % m
         acc[e] = acc.get(e, 0) + math.prod(s for _, s in combo)
     return tuple(sorted((e, s) for e, s in acc.items() if s))
-
-
-class CycNumber:
-    """Element of the union of the cyclotomic fields Q(zeta_M), exact.
-
-    Stored as a map {basis root exponent in [0,1) -> rational coefficient}.
-    The constructor keeps the dict it is given when no coefficient is zero,
-    so callers pass a fresh dict they do not touch again.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        if terms is None:
-            terms = {}
-        elif not all(terms.values()):
-            terms = {a: c for a, c in terms.items() if c}
-        self.terms = terms
-
-    @staticmethod
-    def from_rational(c) -> "CycNumber":
-        c = Fraction(c)
-        return CycNumber({ZERO: c} if c else {})
-
-    @staticmethod
-    def root(a) -> "CycNumber":
-        a = Fraction(a)
-        return CycNumber({Fraction(j, a.denominator): Fraction(s)
-                          for j, s in _expansion(a.numerator, a.denominator)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def as_rational(self) -> Fraction:
-        if not self.terms:
-            return ZERO
-        if self.is_rational():
-            return self.terms[0]
-        raise ValueError(f"not a rational number: {self}")
-
-    def __add__(self, other: "CycNumber") -> "CycNumber":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, ZERO) + c
-        return CycNumber(out)
-
-    def __neg__(self) -> "CycNumber":
-        return CycNumber({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "CycNumber") -> "CycNumber":
-        return self + (-other)
-
-    def _vec(self, m: int) -> dict:
-        return {a.numerator * (m // a.denominator): c for a, c in self.terms.items()}
-
-    def scale(self, c) -> "CycNumber":
-        c = Fraction(c)
-        return CycNumber({a: c * d for a, d in self.terms.items()})
-
-    def eval_complex(self) -> complex:
-        return sum((float(c) * cmath.exp(2j * math.pi * float(a))
-                    for a, c in self.terms.items()), 0j)
-
-    def key(self):
-        return tuple(sorted(self.terms.items()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CycNumber) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            format_rat(c) if a == 0 else f"z[{format_rat(a)}]" if c == 1
-            else f"{format_rat(c)}*z[{format_rat(a)}]" for a, c in sorted(self.terms.items()))
-
-
-_DEN_ONE = {ZERO: CycNumber.from_rational(1)}
 
 
 def _zz_eval(f: list[int], x: int) -> int:
@@ -257,11 +175,12 @@ def _zz_mul(p1: dict, p2: dict, ring=_ZZ) -> dict:
     return out
 
 
-def _zz_add(p1: dict, p2: dict, ring=_ZZ) -> dict:
-    """p1 + p2 over the coefficient ring; over Z it is also the sum of two
-    coefficients of Z[zeta_m], on their basis vectors."""
+def _zz_add(p1: dict, p2: dict, ring=_ZZ, copy=True) -> dict:
+    """p1 + p2 over the coefficient ring, into p1 itself when not copy; over
+    Z it is also the sum of two coefficients of Z[zeta_m], on their basis
+    vectors."""
     add = ring[1]
-    out = dict(p1)
+    out = dict(p1) if copy else p1
     get = out.get
     for e, c in p2.items():
         s = get(e)
@@ -460,33 +379,9 @@ def _normal(n: int, m: int, num: dict, nd: int, den: dict, dd: int):
     return _cyc_normalize(n, m, num, den, Fraction(dd, nd))
 
 
-def _int_form(num: dict, den: dict):
-    """(n, m, num, nd, den, dd) for dicts on Fraction keys and nonzero
-    CycNumber coefficients, n and m the least that hold them."""
-    n = math.lcm(*(e.denominator for p in (num, den) for e in p))
-    m = math.lcm(*(a.denominator for p in (num, den) for c in p.values() for a in c.terms))
-    out = [n, m]
-    for p in (num, den):
-        d = math.lcm(*(v.denominator for c in p.values() for v in c.terms.values()))
-        vecs = [{j: v.numerator * (d // v.denominator) for j, v in c._vec(m).items()}
-                for c in p.values()]
-        out += [{e.numerator * (n // e.denominator): v[0] if m == 1 else v
-                 for e, v in zip(p, vecs)}, d]
-    return tuple(out)
-
-
-def _poly_view(p: dict, n: int, m: int, d: int) -> dict:
-    """The zz poly p / d on Fraction keys and CycNumber coefficients."""
-    if m == 1:
-        return {Fraction(k, n): CycNumber({ZERO: Fraction(c, d)}) for k, c in p.items()}
-    return {Fraction(k, n): CycNumber({Fraction(j, m): Fraction(v, d) for j, v in c.items()})
-            for k, c in p.items()}
-
-
 def _new(form) -> "ExactScalar":
     s = object.__new__(ExactScalar)
     s._n, s._m, s._num, s._nd, s._den, s._dd = form
-    s._view = s._key = None
     return s
 
 
@@ -499,19 +394,13 @@ class ExactScalar:
     overall q-power shift as fractional exponents.  Uniqueness of the normal
     form makes == and hash mathematically meaningful.
 
-    The value is kept in the integer form only; `num` and `den`, the dicts
-    {q-exponent Fraction: CycNumber}, are a view built on first use.
+    The value is kept in the integer form only, at an (n, m) that need not
+    be the least (q_power(1/2)**2 keeps n = 2); str, to_json and hash render
+    reduced fractions.  `num` and `den` are views built on each use:
+    {q-exponent Fraction: constant ExactScalar}.
     """
 
-    __slots__ = ("_n", "_m", "_num", "_nd", "_den", "_dd", "_view", "_key")
-
-    def __init__(self, num: dict, den: dict | None = None):
-        num = {e: c for e, c in num.items() if not c.is_zero()}
-        den = _DEN_ONE if den is None else {e: c for e, c in den.items() if not c.is_zero()}
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        self._n, self._m, self._num, self._nd, self._den, self._dd = _normal(*_int_form(num, den))
-        self._view = self._key = None
+    __slots__ = ("_n", "_m", "_num", "_nd", "_den", "_dd")
 
     # -- constructors -------------------------------------------------------
 
@@ -528,14 +417,8 @@ class ExactScalar:
     def one() -> "ExactScalar":
         return _ES_ONE
 
-    def _views(self):
-        if self._view is None:
-            self._view = (_poly_view(self._num, self._n, self._m, self._nd),
-                          _poly_view(self._den, self._n, self._m, self._dd))
-        return self._view
-
-    num = property(lambda self: self._views()[0])
-    den = property(lambda self: self._views()[1])
+    num = property(lambda self: _coefficients(self._num, self._n, self._m, self._nd))
+    den = property(lambda self: _coefficients(self._den, self._n, self._m, self._dd))
 
     # -- ring/field structure ------------------------------------------------
 
@@ -604,20 +487,13 @@ class ExactScalar:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return (ExactScalar.one() / self) ** (-n)
-        out = ExactScalar.one()
-        base = self
+        out, base = ExactScalar.one(), self
         while n:
             if n & 1:
                 out = out * base
             base = base * base
             n >>= 1
         return out
-
-    def key(self):
-        if self._key is None:
-            self._key = tuple(tuple(sorted((e, c.key()) for e, c in p.items()))
-                              for p in (self.num, self.den))
-        return self._key
 
     def __eq__(self, other) -> bool:
         # the normal form over common n and m is unique: compare integers
@@ -628,18 +504,21 @@ class ExactScalar:
         return (self._nd, self._dd) == (other._nd, other._dd) and an == bn and ad == bd
 
     def __hash__(self):
-        return hash(self.key())
+        # the rendering is canonical, and equal values may differ in (n, m)
+        return hash(str(self))
 
     # -- evaluation, substitution, display ------------------------------------
 
     def eval_numeric(self, q0) -> complex:
-        """Substitute q -> q0 > 0 (real positive roots) and zeta^a -> e^{2 pi i a}."""
+        """Substitute q -> q0 > 0 (real positive roots) and zeta^a -> e^{2 pi i a},
+        summing basis terms, then terms, in the form's order."""
         q0 = float(q0)
         if q0 <= 0:
             raise ValueError("q0 must be positive")
-
-        num, den = (sum((c.eval_complex() * math.exp(e * math.log(q0)) for e, c in p.items()), 0j)
-                    for p in (self.num, self.den))
+        n, m, lq = self._n, self._m, math.log(q0)
+        num, den = (sum((sum((v / d * cmath.exp(2j * math.pi * (j / m)) for j, v in _basis(c, m)),
+                             0j) * math.exp(k / n * lq) for k, c in p.items()), 0j)
+                    for p, d in ((self._num, self._nd), (self._den, self._dd)))
         return num / den
 
     def is_real(self) -> bool:
@@ -654,18 +533,19 @@ class ExactScalar:
         9 * q^(1/2).  Exact rational arithmetic throughout.
         """
         q0 = Fraction(q0)
-        # each term is in normal form already; at q0 = 0 those of degree >= 1 vanish
-        num, den = (sum((_new(_int_form({e % 1: c.scale(q0 ** math.floor(e))}, _DEN_ONE))
-                         for e, c in p.items() if q0 or e < 1), _ES_ZERO)
-                    for p in (self.num, self.den))
+        # at q0 = 0 the terms of degree >= 1 vanish
+        num, den = (sum((c * q0 ** math.floor(e) * q_power(e % 1) for e, c in p.items()
+                         if q0 or e < 1), _ES_ZERO) for p in (self.num, self.den))
         return num / den
 
+    def is_rational(self) -> bool:
+        """True when the value is a rational constant."""
+        return not self._num or (self._m == 1 and self.is_laurent() and list(self._num) == [0])
+
     def as_rational(self) -> Fraction:
-        if self.is_zero():
-            return ZERO
-        if self._m == 1 and len(self._den) == 1 and len(self._num) == 1 and 0 in self._num:
-            return Fraction(self._num[0], self._nd)
-        raise ValueError(f"not a rational constant: {self}")
+        if not self.is_rational():
+            raise ValueError(f"not a rational constant: {self}")
+        return Fraction(self._num.get(0, 0), self._nd)
 
     def is_laurent(self) -> bool:
         """True when the denominator is trivial (value is a q-Laurent polynomial)."""
@@ -674,76 +554,87 @@ class ExactScalar:
     def __str__(self):
         if self.is_zero():
             return "0"
+        n, m = self._n, self._m
         if self.is_laurent():
-            return _poly_str(self.num)
-        num, den = self.num, self.den
-        if den[max(den)].as_rational() < 0:
-            num, den = ({e: -c for e, c in p.items()} for p in (num, den))
-        return f"({_poly_str(num)}) / ({_poly_str(den)})"
+            return _poly_str(self._num, n, m, self._nd, 1)
+        lead = self._den[max(self._den)]
+        sign = -1 if (lead if m == 1 else lead[0]) < 0 else 1
+        return (f"({_poly_str(self._num, n, m, self._nd, sign)})"
+                f" / ({_poly_str(self._den, n, m, self._dd, sign)})")
 
     __repr__ = __str__
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
+        num = _poly_json(self._num, self._n, self._m, self._nd)
         if self.is_laurent():
-            return _poly_json(self.num)
-        return {"num": _poly_json(self.num), "den": _poly_json(self.den)}
+            return num
+        return {"num": num, "den": _poly_json(self._den, self._n, self._m, self._dd)}
 
     @staticmethod
     def from_json(obj) -> "ExactScalar":
-        if isinstance(obj, dict):
-            return ExactScalar(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
-        return ExactScalar(_poly_from_json(obj))
+        """The value of to_json's output, or of any such terms, each with a
+        list of coefficients: all added in order into one form, normalized once."""
+        polys = [[(Fraction(t["qexp"]), Fraction(t["zeta"]), [Fraction(c) for c in t["coeff"]])
+                  for t in p] for p in ((obj["num"], obj["den"]) if isinstance(obj, dict)
+                                        else (obj, [{"qexp": 0, "zeta": 0, "coeff": [1]}]))]
+        n = math.lcm(*(e.denominator for p in polys for e, _, _ in p))
+        m = math.lcm(*(z.denominator for p in polys for _, z, _ in p))
+        form, ring = [n, m], _ring(m)
+        for p in polys:
+            d, acc = math.lcm(*(c.denominator for _, _, cs in p for c in cs)), {}
+            for e, z, cs in p:
+                k, b = e.numerator * (n // e.denominator), m // z.denominator
+                root = [(j * b, u) for j, u in _expansion(z.numerator, z.denominator)]
+                for v in filter(None, (c.numerator * (d // c.denominator) for c in cs)):
+                    _zz_add(acc, {k: v if m == 1 else {j: u * v for j, u in root}}, ring, False)
+            form += [acc, d]
+        if not form[4]:
+            raise ZeroDivisionError("zero denominator")
+        return _new(_normal(*form))
 
 
 def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar.from_rational(x)
-    return NotImplemented
+    return ExactScalar.from_rational(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
 
-def _poly_str(p: dict) -> str:
+# Output of the integer form: q-exponents k / n, basis roots zeta^(j/m) and
+# coefficients v / d, each rendered as a reduced fraction.
+
+def _basis(c, m: int):
+    """The basis terms (j, v) of a zz poly coefficient over Z[zeta_m]."""
+    return c.items() if m > 1 else ((0, c),)
+
+
+def _coefficients(p: dict, n: int, m: int, d: int) -> dict:
+    """The zz poly p / d as {q-exponent Fraction: constant ExactScalar}."""
+    return {Fraction(k, n): _new(_laurent(1, m, {0: c}, d)) for k, c in p.items()}
+
+
+def _poly_str(p: dict, n: int, m: int, d: int, sign: int) -> str:
+    """sign * p / d, terms by descending q-exponent."""
     bits = []
-    for e, c in sorted(p.items(), reverse=True):
-        if e == 0:
-            qs = ""
-        elif e == 1:
-            qs = "q"
+    for k in sorted(p, reverse=True):
+        e = _rat(k, n)
+        qs = "" if k == 0 else "q" if e == "1" else f"q^({e})" if "/" in e else f"q^{e}"
+        (j, v), *more = terms = sorted((j, sign * v) for j, v in _basis(p[k], m))
+        if j == 0 and not more:
+            r = _rat(abs(v), d)
+            bits.append(("-" if v < 0 else "+", r if not qs else qs if r == "1" else f"{r}*{qs}"))
         else:
-            qs = f"q^{format_rat(e)}" if e.denominator == 1 else f"q^({format_rat(e)})"
-        if c.is_rational():
-            r = c.as_rational()
-            sign, r = "-" if r < 0 else "+", abs(r)
-            body = format_rat(r) if not qs else qs if r == 1 else f"{format_rat(r)}*{qs}"
-        else:
-            sign, body = "+", f"({c!r})*{qs}" if qs else f"({c!r})"
-        bits.append((sign, body))
-    (sign, body), rest = bits[0], bits[1:]
-    return (body if sign == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in rest)
+            cyc = " + ".join(_rat(v, d) if j == 0 else f"z[{_rat(j, m)}]" if v == d
+                             else f"{_rat(v, d)}*z[{_rat(j, m)}]" for j, v in terms)
+            bits.append(("+", f"({cyc})*{qs}" if qs else f"({cyc})"))
+    (head, body), rest = bits[0], bits[1:]
+    return (body if head == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in rest)
 
 
-def _poly_json(p: dict):
-    out = []
-    for e, c in sorted(p.items()):
-        for a, coef in sorted(c.terms.items()):
-            out.append({"zeta": format_rat(a), "qexp": format_rat(e), "coeff": [format_rat(coef)]})
-    return out
-
-
-def _poly_from_json(entries) -> dict:
-    out: dict = {}
-    for entry in entries:
-        e, root = Fraction(entry["qexp"]), CycNumber.root(entry["zeta"])
-        for cs in entry["coeff"]:
-            s = out.get(e, CycNumber()) + root.scale(Fraction(cs))
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+def _poly_json(p: dict, n: int, m: int, d: int) -> list:
+    return [{"zeta": _rat(j, m), "qexp": e, "coeff": [_rat(v, d)]}
+            for k in sorted(p) for e in (_rat(k, n),) for j, v in sorted(_basis(p[k], m))]
 
 
 _ES_ZERO = _new(_ZERO_FORM)
@@ -770,6 +661,7 @@ def q_power(e) -> ExactScalar:
     return _new((e.denominator, 1, {e.numerator: 1}, 1, _ZZ_ONE, 1))
 
 
+@dataclass(frozen=True, slots=True)
 class HalfLConvention:
     """Sign convention bits (b1, b2) for the square root of the Lefschetz class.
 
@@ -780,18 +672,12 @@ class HalfLConvention:
     all higher symmetric powers of the square root vanish.
     """
 
-    __slots__ = ("b1", "b2")
+    b1: int = 1
+    b2: int = 1
 
-    def __init__(self, b1: int = 1, b2: int = 1):
-        if b1 not in (0, 1) or b2 not in (0, 1):
+    def __post_init__(self):
+        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
             raise ValueError("convention bits must be 0 or 1")
-        self.b1, self.b2 = b1, b2
-
-    def __repr__(self):
-        return f"HalfLConvention(b1={self.b1}, b2={self.b2})"
-
-    def __eq__(self, other):
-        return isinstance(other, HalfLConvention) and (self.b1, self.b2) == (other.b1, other.b2)
 
 
 DEFAULT_CONVENTION = HalfLConvention(1, 1)

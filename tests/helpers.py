@@ -3,11 +3,13 @@ brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the plethystic logarithm
 from the full convolution logarithm and by the ordered-tuple Moebius sum,
 the independent truncated Euler-product oracle for quiver BPS invariants,
-the Taylor expansion of a rational-function fit, the dict-path scalar
-arithmetic (with its own cyclotomic product, Galois action and inverse) and
-the normal form by Euclid over Q(zeta)[t], evaluation at q^(1/2) = t0, and
-the per-prefix dilated lattice-point count."""
+the Taylor expansion of a rational-function fit, the dict view of a scalar
+(CycNumber coefficients) and its conversion to the integer form, the
+dict-path scalar arithmetic (with its own cyclotomic product, Galois action
+and inverse) and the normal form by Euclid over Q(zeta)[t], evaluation at
+q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
 
+import cmath
 import functools
 import itertools
 import math
@@ -19,23 +21,138 @@ from stacky_volumes.lambdaring import CountingFunction, adams, log_conv, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid
 from stacky_volumes.ratfun import Series
 from stacky_volumes.scalar import (
-    _DEN_ONE,
     DEFAULT_CONVENTION,
-    ZERO,
-    CycNumber,
     ExactScalar,
     _expansion,
-    _int_form,
     _new,
+    _normal,
     _vmul,
     factor,
+    format_rat,
     half_l_level,
     half_l_power,
     q_power,
     root_of_unity,
 )
 
+ZERO = Fraction(0)
+
+
+# -- the dict view: the oracle's representation of a scalar --------------------
+
+
+class CycNumber:
+    """Element of the union of the cyclotomic fields Q(zeta_M), exact.
+
+    Stored as a map {basis root exponent in [0,1) -> rational coefficient}.
+    The constructor keeps the dict it is given when no coefficient is zero,
+    so callers pass a fresh dict they do not touch again.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
+            terms = {a: c for a, c in terms.items() if c}
+        self.terms = terms
+
+    @staticmethod
+    def from_rational(c) -> "CycNumber":
+        c = Fraction(c)
+        return CycNumber({ZERO: c} if c else {})
+
+    @staticmethod
+    def root(a) -> "CycNumber":
+        a = Fraction(a)
+        return CycNumber({Fraction(j, a.denominator): Fraction(s)
+                          for j, s in _expansion(a.numerator, a.denominator)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_rational(self) -> bool:
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+
+    def as_rational(self) -> Fraction:
+        if not self.terms:
+            return ZERO
+        if self.is_rational():
+            return self.terms[0]
+        raise ValueError(f"not a rational number: {self}")
+
+    def __add__(self, other: "CycNumber") -> "CycNumber":
+        out = dict(self.terms)
+        for a, c in other.terms.items():
+            out[a] = out.get(a, ZERO) + c
+        return CycNumber(out)
+
+    def __neg__(self) -> "CycNumber":
+        return CycNumber({a: -c for a, c in self.terms.items()})
+
+    def __sub__(self, other: "CycNumber") -> "CycNumber":
+        return self + (-other)
+
+    def _vec(self, m: int) -> dict:
+        return {a.numerator * (m // a.denominator): c for a, c in self.terms.items()}
+
+    def scale(self, c) -> "CycNumber":
+        c = Fraction(c)
+        return CycNumber({a: c * d for a, d in self.terms.items()})
+
+    def eval_complex(self) -> complex:
+        return sum((float(c) * cmath.exp(2j * math.pi * float(a))
+                    for a, c in self.terms.items()), 0j)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CycNumber) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            format_rat(c) if a == 0 else f"z[{format_rat(a)}]" if c == 1
+            else f"{format_rat(c)}*z[{format_rat(a)}]" for a, c in sorted(self.terms.items()))
+
+
 _CYC_ONE = CycNumber.from_rational(1)
+_DEN_ONE = {ZERO: _CYC_ONE}
+
+
+def int_form(num: dict, den: dict | None = None):
+    """(n, m, num, nd, den, dd) for dicts on Fraction keys and CycNumber
+    coefficients (den None means 1), zero coefficients dropped, n and m the
+    least that hold them."""
+    num = {e: c for e, c in num.items() if not c.is_zero()}
+    den = _DEN_ONE if den is None else {e: c for e, c in den.items() if not c.is_zero()}
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    n = math.lcm(*(e.denominator for p in (num, den) for e in p))
+    m = math.lcm(*(a.denominator for p in (num, den) for c in p.values() for a in c.terms))
+    out = [n, m]
+    for p in (num, den):
+        d = math.lcm(*(v.denominator for c in p.values() for v in c.terms.values()))
+        vecs = [{j: v.numerator * (d // v.denominator) for j, v in c._vec(m).items()}
+                for c in p.values()]
+        out += [{e.numerator * (n // e.denominator): v[0] if m == 1 else v
+                 for e, v in zip(p, vecs)}, d]
+    return tuple(out)
+
+
+def dict_scalar(num: dict, den: dict | None = None) -> ExactScalar:
+    """The normal form of num / den, dicts on Fraction keys and CycNumber
+    coefficients (den None means 1)."""
+    return _new(_normal(*int_form(num, den)))
+
+
+def view(x: ExactScalar) -> tuple[dict, dict]:
+    """x's numerator and denominator as dicts {q-exponent Fraction:
+    CycNumber}, keys and basis terms in the order of x's integer form."""
+    n, m = x._n, x._m
+    return tuple({Fraction(k, n): CycNumber({Fraction(j, m): Fraction(v, d) for j, v in (
+        c.items() if m > 1 else ((0, c),))}) for k, c in p.items()}
+        for p, d in ((x._num, x._nd), (x._den, x._dd)))
 
 
 def random_scalar(rng, with_roots=False) -> ExactScalar:
@@ -422,12 +539,13 @@ def euclid_normalize(num: dict, den: dict):
 def dict_fraction(op: str, a: ExactScalar, b: ExactScalar):
     """a op b for op in "+-*/" as the dict path's (num, den) before any
     reduction: padd, pneg and pmul over CycNumber coefficients."""
-    bn = pneg(b.num) if op == "-" else b.num
+    (an, ad), (bn, bd) = view(a), view(b)
+    bn = pneg(bn) if op == "-" else bn
     if op in "+-":
-        return padd(pmul(a.num, b.den), pmul(bn, a.den)), pmul(a.den, b.den)
+        return padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)
     if op == "*":
-        return pmul(a.num, b.num), pmul(a.den, b.den)
-    return pmul(a.num, b.den), pmul(a.den, b.num)
+        return pmul(an, bn), pmul(ad, bd)
+    return pmul(an, bd), pmul(ad, bn)
 
 
 def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
@@ -435,8 +553,9 @@ def reference_arith(op: str, a: ExactScalar, b: ExactScalar) -> ExactScalar:
     euclid_normalize, as the arithmetic computed it before its integer form.
     The oracle for values, key order and every coefficient's term order."""
     if op != "/" and a.is_laurent() and b.is_laurent():
-        bn = pneg(b.num) if op == "-" else b.num
-        return form_scalar(padd(a.num, bn) if op in "+-" else pmul(a.num, b.num))
+        an, bn = view(a)[0], view(b)[0]
+        bn = pneg(bn) if op == "-" else bn
+        return form_scalar(padd(an, bn) if op in "+-" else pmul(an, bn))
     return form_scalar(*euclid_normalize(*dict_fraction(op, a, b)))
 
 
@@ -444,7 +563,7 @@ def form_scalar(num: dict, den: dict | None = None) -> ExactScalar:
     """The scalar whose integer form is that of num/den as given, with no
     normal form taken (den None means 1): how the oracles turn a reduced dict
     fraction, with no zero coefficient, into a scalar."""
-    return _new(_int_form(num, _DEN_ONE if den is None else den))
+    return _new(int_form(num, den))
 
 
 def ev(x: ExactScalar, t0: int) -> ExactScalar:
@@ -459,10 +578,11 @@ def ev(x: ExactScalar, t0: int) -> ExactScalar:
             acc = acc + c.scale(Fraction(t0) ** int(2 * e))
         return acc
 
-    d = sub(x.den)
+    num, den = view(x)
+    d = sub(den)
     if d.is_zero():
         raise ZeroDivisionError(f"pole at q^(1/2) = {t0}")
-    return ExactScalar({ZERO: cyc_times(sub(x.num), cyc_inv(d))})
+    return dict_scalar({ZERO: cyc_times(sub(num), cyc_inv(d))})
 
 
 def reference_count_dilation(polytope, r: int) -> int:

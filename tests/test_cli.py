@@ -525,6 +525,15 @@ def test_plethystic_bad_entry_exits_2(tmp_path, capsys, entry):
     assert err["error"]["kind"] == "SchemaViolation"
 
 
+def test_plethystic_element_over_the_grade_exits_2(tmp_path, capsys):
+    code, err = run_error(tmp_path, capsys, "plethystic", {
+        "rank": 1, "op": "sym", "grade": 2, "levels": 1,
+        "values": [{"element": [3], "level": 1, "value": ONE}]})
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert "[3]" in err["error"]["message"] and "'grade' = 2" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("params, field", [
     ({"n": 1, "torusRank": 0, "finiteOrders": [True], "weights": [[1]], "q": 3},
      "finiteOrders"),
@@ -656,15 +665,9 @@ def _paths(obj, path=()):
             yield from _paths(v, path + (k,))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(op=st.sampled_from(["sym", "log", "log_direct"]), grade=st.integers(1, 4),
-       data=st.data())
-def test_plethystic_values_fuzz(tmp_path_factory, op, grade, data):
-    """Any values give exit 0, 1 or 2 with a JSON object, within a second:
-    well-formed ones, with rational or cyclotomic coefficients, and ones with
-    one field replaced by a malformed or out-of-bound one, or removed."""
-    zeta = data.draw(st.sampled_from([st.sampled_from(["0", "1/2", "-1/2"]), _ZETA]))
-    params = {"op": op, "grade": grade, "values": data.draw(_values(zeta))}
+def _mutated(params, data):
+    """params, or, half the time, params with one field anywhere under it
+    replaced by a malformed or out-of-bound one, or removed."""
     if data.draw(st.booleans()):
         *parent, key = data.draw(st.sampled_from(list(_paths(params))))
         node = params
@@ -675,16 +678,115 @@ def test_plethystic_values_fuzz(tmp_path_factory, op, grade, data):
             del node[key]
         else:
             node[key] = odd
-    path = tmp_path_factory.getbasetemp() / "plethystic-fuzz.json"
+    return params
+
+
+def _run_within_a_second(path, command, params):
+    """(exit code, stdout, stderr) of the command on params, failing with
+    _TooSlow after one second."""
     path.write_text(json.dumps(params))
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        with contextlib.redirect_stdout(out):
-            code = run(["plethystic", "--input", str(path)])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--input", str(path)])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150)
+@given(op=st.sampled_from(["sym", "log", "log_direct"]), grade=st.integers(1, 4),
+       data=st.data())
+def test_plethystic_values_fuzz(tmp_path_factory, op, grade, data):
+    """Any values give exit 0, 1 or 2 with a JSON object, within a second:
+    well-formed ones, with rational or cyclotomic coefficients, and ones with
+    one field replaced by a malformed or out-of-bound one, or removed."""
+    zeta = data.draw(st.sampled_from([st.sampled_from(["0", "1/2", "-1/2"]), _ZETA]))
+    params = _mutated({"op": op, "grade": grade, "values": data.draw(_values(zeta))}, data)
+    code, out, _ = _run_within_a_second(
+        tmp_path_factory.getbasetemp() / "plethystic-fuzz.json", "plethystic", params)
     assert code in (0, 1, 2)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    assert isinstance(json.loads(out), dict)
+
+
+# -- a hypothesis fuzz test of every command ---------------------------------------
+
+_RAT = st.sampled_from(["0", "1", "2", "-1", "1/2", "3/2"])
+
+
+def _rows(k, d, entry):
+    return st.lists(st.lists(entry, min_size=d, max_size=d), min_size=k, max_size=k)
+
+
+@st.composite
+def _ehrhart_params(draw):
+    d, k = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    params = draw(st.one_of(st.fixed_dictionaries({"vertices": _rows(k, d, _RAT)}),
+                            st.fixed_dictionaries({"A": _rows(k, d, _RAT),
+                                                   "b": _rows(1, k, _RAT).map(lambda r: r[0])})))
+    return params | draw(st.fixed_dictionaries({}, optional={"truncation": st.integers(1, 8)}))
+
+
+@st.composite
+def _volume_params(draw):
+    n, k = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    finite = draw(st.lists(st.integers(1, 3), max_size=1))
+    return {"n": n, "torusRank": k, "finiteOrders": finite,
+            "weights": draw(_rows(k + len(finite), n, st.integers(-1, 1))),
+            "q": draw(st.sampled_from([2, 3, 4, 5])), "R": draw(st.integers(1, 4)),
+            **draw(st.fixed_dictionaries({}, optional={"fbar": st.sampled_from(["one", "gerbe"])}))}
+
+
+@st.composite
+def _bps_params(draw):
+    v = draw(st.integers(1, 2))
+    arrows = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=2, max_size=2).map(
+        lambda a: a + [1]), max_size=2))
+    return {"vertices": v, "arrows": arrows, "q": draw(st.sampled_from([2, 3, 4, 5])),
+            "gammaBound": draw(st.integers(1, 3)), "levels": draw(st.integers(1, 2)),
+            "half_l": draw(st.sampled_from(["1,1", "0,0", "0,1"]))}
+
+
+_MODE = st.sampled_from(["differences", "orbits"])
+_NEAR_VALID = {
+    "ehrhart": _ehrhart_params(),
+    "volume": _volume_params(),
+    "bps": _bps_params(),
+    "delta": st.one_of(
+        st.fixed_dictionaries({"m": st.integers(1, 3), "s": st.integers(1, 3),
+                               "r": st.integers(1, 10)}, optional={"mode": _MODE}),
+        st.fixed_dictionaries({"max_m": st.just(1), "max_s": st.integers(1, 2),
+                               "max_r": st.integers(4, 8)})),
+    "plid-check": st.fixed_dictionaries(
+        {"gradeBound": st.integers(1, 2), "levelBound": st.integers(1, 2),
+         "q": st.sampled_from([2, 3, 4, 5])}, optional={"mode": _MODE}),
+    "plethystic": st.fixed_dictionaries(
+        {"op": st.sampled_from(["sym", "log", "log_direct"]), "rank": st.just(1),
+         "grade": st.integers(1, 3), "levels": st.integers(1, 2),
+         "values": st.lists(st.fixed_dictionaries({
+             "element": st.integers(0, 3).map(lambda i: [i]), "level": st.integers(1, 2),
+             "value": st.lists(st.fixed_dictionaries({
+                 "zeta": st.sampled_from(["0", "1/2", "1/3"]), "qexp": _RAT,
+                 "coeff": st.lists(_RAT, min_size=1, max_size=2)}), min_size=1, max_size=2)}),
+             max_size=3)}),
+}
+
+
+@settings(max_examples=120)
+@given(command=st.sampled_from(sorted(_NEAR_VALID)), data=st.data())
+def test_every_command_fuzz(tmp_path_factory, command, data):
+    """Near-valid parameters for any command, and the same with one field
+    replaced by a malformed or out-of-bound one, or removed: exit 0, 1 or 2
+    within a second, one JSON object on stdout and nothing on stderr, and
+    every exit 1 names the module that failed."""
+    params = _mutated(data.draw(_NEAR_VALID[command]), data)
+    code, out, err = _run_within_a_second(
+        tmp_path_factory.getbasetemp() / "command-fuzz.json", command, params)
+    assert code in (0, 1, 2)
+    report = json.loads(out)
+    assert isinstance(report, dict) and err == ""
+    if code == 1:
+        assert "module" in report["error"], report

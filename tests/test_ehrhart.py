@@ -133,7 +133,7 @@ def _small_polytopes(draw):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, ehrhart._CHUNK])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(poly=_small_polytopes(), r=st.integers(1, 3))
 def test_count_dilation_matches_oracles(chunk, poly, r):
     # chunk sizes 1 and 7 put chunk boundaries inside the prefix grid
@@ -180,7 +180,7 @@ def _slanted_order_simplices(draw):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, ehrhart._CHUNK])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(poly=st.one_of(_thin_simplices(), _slanted_order_simplices()), r=st.integers(1, 2))
 def test_count_dilation_on_thin_polytopes_matches_oracles(chunk, poly, r):
     with mock.patch.object(ehrhart, "_CHUNK", chunk):
