@@ -67,8 +67,8 @@ _SPAN_BUDGET = 2 * 10**4
 # delta: a count term costs about 2, a fitted term 4 per factor of
 # (1 - T^delta)^D, and in orbits mode each multiple r of m adds a Burnside
 # loop of r/m steps at about 1/6 each.  Each region is charged r counts per
-# mode plus the first three rungs of delta_limit's ladder, the last one any
-# fit needs.  At m = 1 and r = 24, s = 7 is charged 2.65 million (1.1 s) and
+# mode plus the three rungs of delta_limit's ladder, the last of which always
+# fits.  At m = 1 and r = 24, s = 7 is charged 2.65 million (1.1 s) and
 # s = 8 11.9 million (refused; 6 s).  The largest admitted jobs measured:
 # s = 3 with r = 1,490,000 in differences mode 3.6 s, r = 5,900 in both 3.6 s.
 _DELTA_BUDGET = 3 * 10**6
@@ -124,6 +124,17 @@ def _int(params, keys, default, minimum=1):
     if type(v) is not int or v < minimum:
         raise SchemaViolation(f"field {key!r} must be an integer >= {minimum}")
     return v
+
+
+def _mode(params, default):
+    """The first of the fields 'delta_mode' and 'mode' present in params,
+    which must be 'differences' or 'orbits'; `default` when neither is."""
+    key = next((k for k in ("delta_mode", "mode") if k in params), None)
+    if key is None:
+        return default
+    if params[key] not in ("differences", "orbits"):
+        raise SchemaViolation(f"field {key!r} must be 'differences' or 'orbits'")
+    return params[key]
 
 
 def _prime_power(params) -> int:
@@ -283,13 +294,9 @@ def _cmd_bps(params):
     conv = _parse_convention(params)
     _bps_preflight(vertices, sum(a[2] for a in arrows), gamma_bound, levels)
     quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
-    result = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
-    table = []
-    for gamma, ve in sorted(result.per_gamma.items()):
-        table.append(
-            {"gamma": list(gamma),
-             "omega": [_scalar_report(v, q) for v in ve.levels]}
-        )
+    invariants = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
+    table = [{"gamma": list(gamma), "omega": [_scalar_report(v, q) for v in ve.levels]}
+             for gamma, ve in sorted(invariants.items())]
     return {"gamma_bound": gamma_bound, "levels": levels, "invariants": table}
 
 
@@ -319,12 +326,8 @@ def _cmd_delta(params):
             _require(params, key, None, "delta")
         m, s = _int(params, "m", None), _int(params, "s", None)
         r_max = _int(params, ("r", "truncation"), 24)
-        modes = ("differences", "orbits")
-        mode = params.get("delta_mode") or params.get("mode")
-        if mode:
-            if mode not in modes:
-                raise SchemaViolation("mode must be differences|orbits")
-            modes = (mode,)
+        mode = _mode(params, None)
+        modes = (mode,) if mode else ("differences", "orbits")
         _delta_preflight([(m, s)], r_max, modes)
         region = eh.DeltaRegion(m, s)
         out = {"m": m, "s": s, "r_max": r_max}
@@ -342,12 +345,12 @@ def _cmd_delta(params):
 
 
 def _delta_preflight(regions, r_max, modes):
-    """Refuse, before any count, regions whose r_max counts and first three
-    fitted ladder rungs cost more than _DELTA_BUDGET in all."""
+    """Refuse, before any count, regions whose r_max counts and fitted ladder
+    rungs cost more than _DELTA_BUDGET in all."""
     steps = 0
     for m, s in regions:
         # lcm(1..64) is past 10^26, so a larger s is over the budget already
-        ladder = eh.delta_ladder(eh.DeltaRegion(m, min(s, 64)))[:3]
+        ladder = eh.delta_ladder(eh.DeltaRegion(m, min(s, 64)))
         for order, factors in [(r_max, 0)] + [(o, big_d + 1) for _, big_d, o in ladder]:
             steps += len(modes) * order * (2 + 4 * factors)
             if "orbits" in modes:
@@ -362,9 +365,7 @@ def _cmd_plid_check(params):
     grade = _int(params, ("gradeBound", "grade"), 2)
     levels = _int(params, ("levelBound", "levels"), 2)
     q = _prime_power(params)
-    mode = params.get("delta_mode") or params.get("mode") or "differences"
-    if mode not in ("differences", "orbits"):
-        raise SchemaViolation("mode must be differences|orbits")
+    mode = _mode(params, "differences")
     conv = _parse_convention(params)
     _plid_preflight(grade, levels)
     monoid = mo.LinearObjectsMonoid.vect(q, conv)
@@ -528,49 +529,41 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    threads = os.environ.get("STACKY_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        _emit({"error": {"kind": "SchemaViolation",
-                         "message": "STACKY_THREADS must be a positive integer"}},
-              args, force_json=True)
-        return 2
+    try:
+        report = _HANDLERS[args.command](_params(args))
+    except SchemaViolation as exc:
+        code, error = 2, {"kind": "SchemaViolation", "message": str(exc)}
+    except _MODULE_ERROR_CLASSES as exc:
+        origin = next(name for cls, name in _MODULE_ERRORS if isinstance(exc, cls))
+        code, error = 1, {"kind": type(exc).__name__, "module": origin, "message": str(exc)}
+    except (ValueError, ZeroDivisionError) as exc:
+        code, error = 1, {"kind": type(exc).__name__, "message": str(exc)}
+    else:
+        _emit(report, args)
+        return 0
+    _emit({"error": error}, args, force_json=True)
+    return code
 
+
+def _params(args) -> dict:
+    """The job's parameters: the --input object, overridden by the flags."""
+    threads = os.environ.get("STACKY_THREADS")
+    if threads is not None and (not threads.isdecimal() or int(threads) < 1):
+        raise SchemaViolation("STACKY_THREADS must be a positive integer")
     params = {}
     if args.input:
         try:
             with open(args.input) as handle:
                 params = json.load(handle)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON, or past the int digit limit
-            _emit({"error": {"kind": "SchemaViolation", "message": str(exc)}}, args,
-                  force_json=True)
-            return 2
+            raise SchemaViolation(str(exc)) from exc
         if not isinstance(params, dict):
-            _emit({"error": {"kind": "SchemaViolation",
-                             "message": "parameter file must hold a JSON object"}},
-                  args, force_json=True)
-            return 2
+            raise SchemaViolation("parameter file must hold a JSON object")
     for key in ("levels", "grade", "truncation", "q", "half_l", "delta_mode"):
         val = getattr(args, key)
         if val is not None:
             params[key] = val
-
-    try:
-        report = _HANDLERS[args.command](params)
-    except SchemaViolation as exc:
-        _emit({"error": {"kind": "SchemaViolation", "message": str(exc)}}, args,
-              force_json=True)
-        return 2
-    except _MODULE_ERROR_CLASSES as exc:
-        origin = next(name for cls, name in _MODULE_ERRORS if isinstance(exc, cls))
-        _emit({"error": {"kind": type(exc).__name__, "module": origin,
-                         "message": str(exc)}}, args, force_json=True)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, args,
-              force_json=True)
-        return 1
-    _emit(report, args)
-    return 0
+    return params
 
 
 def _emit(report, args, force_json=False):

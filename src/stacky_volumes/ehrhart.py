@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ratfun import NoRationalFit, Series, fit_rational
+from .ratfun import Series, fit_first, fit_rational
 from .scalar import ExactScalar
 
 
@@ -494,21 +494,16 @@ def delta_count(region: DeltaRegion, r: int, mode: str = "differences") -> int:
 def delta_ladder(region: DeltaRegion) -> list:
     """The (delta, D, series order) ansatzes delta_limit tries in turn.  Both
     counts are quasi-polynomials in r of degree at most s and period dividing
-    m lcm(1..s), so the third always fits."""
+    m lcm(1..s), so the last of its three rungs always fits."""
     m, s = region.m, region.s
     lcm_s = math.lcm(*range(1, s + 1))
-    ladder = [(m, s), (m * lcm_s, s), (m * lcm_s, s + 1), (2 * m * lcm_s, s + 2)]
+    ladder = [(m, s), (m * lcm_s, s), (m * lcm_s, s + 1)]
     return [(delta, big_d, delta * big_d + delta + 2) for delta, big_d in ladder]
 
 
 def delta_limit(region: DeltaRegion, mode: str = "differences") -> ExactScalar:
     """Fit the per-r count series of the region and report its exact limit at
     T -> infinity, without forcing any expected value."""
-    last_error = None
-    for delta, big_d, r_max in delta_ladder(region):
-        series = Series([delta_count(region, r, mode) for r in range(1, r_max + 1)])
-        try:
-            return fit_rational(series, delta, big_d).limit_at_infinity()
-        except NoRationalFit as exc:
-            last_error = exc
-    raise last_error
+    fit = fit_first(delta_ladder(region), lambda order: Series(
+        [delta_count(region, r, mode) for r in range(1, order + 1)]))
+    return fit.limit_at_infinity()

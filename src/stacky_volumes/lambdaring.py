@@ -336,14 +336,21 @@ def log_conv(big_f: CountingFunction, caps=None) -> CountingFunction:
     return out
 
 
+def _plethystic_levels(f: CountingFunction) -> int:
+    """Output levels of Sym, Log and log_direct: the level budget divided by
+    the grade bound, since only psi_k with k <= G contributes below grade G."""
+    n_out = f.level_bound // f.grade_bound
+    if n_out < 1:
+        raise TruncationExceeded("level budget too small for the grade bound")
+    return n_out
+
+
 def pleth_sym(f: CountingFunction) -> CountingFunction:
     """Plethystic exponential exp(sum_k psi_k(f)/k); level budget divides by
     the grade bound."""
     _check_augmented_zero(f)
     g = f.grade_bound
-    n_out = f.level_bound // g
-    if n_out < 1:
-        raise TruncationExceeded("level budget too small for the grade bound")
+    n_out = _plethystic_levels(f)
     acc = f.restricted(level_bound=n_out)
     for k in range(2, g + 1):
         acc = acc + adams(f, k).restricted(level_bound=n_out).scale(Fraction(1, k))
@@ -380,9 +387,7 @@ def pleth_log(big_f: CountingFunction) -> CountingFunction:
     term order do not change."""
     _check_augmented_one(big_f)
     g = big_f.grade_bound
-    n_out = big_f.level_bound // g
-    if n_out < 1:
-        raise TruncationExceeded("level budget too small for the grade bound")
+    n_out = _plethystic_levels(big_f)
     lg = log_conv(big_f, log_demand(g, big_f.level_bound))
     out = lg.restricted(level_bound=n_out)
     for m in range(2, g + 1):
@@ -413,9 +418,7 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
     _check_augmented_one(big_f)
     mon = big_f.monoid
     g = big_f.grade_bound
-    n_out = big_f.level_bound // g
-    if n_out < 1:
-        raise TruncationExceeded("level budget too small for the grade bound")
+    n_out = _plethystic_levels(big_f)
     unit = CountingFunction.unit(mon, big_f.grade_bound, big_f.level_bound)
     f = big_f - unit
     out = CountingFunction(mon, g, n_out)

@@ -232,13 +232,6 @@ def gl_order(a: int, n: int) -> ExactScalar:
     return out
 
 
-def gl_order_int(a: int, qn: int) -> int:
-    out = qn ** (a * (a - 1) // 2)
-    for i in range(1, a + 1):
-        out *= qn**i - 1
-    return out
-
-
 class LinearObjectsMonoid(DiscreteLattice):
     """Dimension vectors of linear objects with trivial Frobenius.
 

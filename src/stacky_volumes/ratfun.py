@@ -150,3 +150,15 @@ def fit_rational(series: Series, delta: int, big_d: int) -> RationalFunctionFit:
                 f"coefficient of T^{r} does not match the (delta={delta}, D={big_d}) ansatz"
             )
     return RationalFunctionFit(g[: top + 1], delta, big_d, r_max)
+
+
+def fit_first(ladder, series_of) -> RationalFunctionFit:
+    """Fit series_of(order) on the first (delta, D, order) of the ladder that
+    fits; re-raise the last NoRationalFit when none does."""
+    for delta, big_d, order in ladder:
+        series = series_of(order)
+        try:
+            return fit_rational(series, delta, big_d)
+        except NoRationalFit as exc:
+            last = exc
+    raise last

@@ -24,10 +24,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .ehrhart import DeltaRegion, delta_count, positive_functional_exists
+from .ehrhart import DeltaRegion, delta_count, delta_limit, positive_functional_exists
 from .lambdaring import (CountingFunction, VolumeElem, log_demand, log_direct, mobius,
                          pleth_log)
-from .ratfun import NoRationalFit, Series, fit_rational
+from .ratfun import Series, fit_first, fit_rational
 from .scalar import (
     DEFAULT_CONVENTION,
     ExactScalar,
@@ -37,7 +37,7 @@ from .scalar import (
     q_power,
     root_of_unity,
 )
-from .monoids import LinearObjectsMonoid, Quiver, gl_order
+from .monoids import LinearObjectsMonoid, Quiver, _compositions, gl_order
 
 
 class StackyError(Exception):
@@ -448,14 +448,7 @@ def volume_ladder(datum: ToricStackDatum) -> list:
 def volume_fit(datum: ToricStackDatum):
     """Fit the twisted-point series as a rational function, on the first
     ansatz of volume_ladder that fits."""
-    last = None
-    for delta, big_d, order in volume_ladder(datum):
-        series = volume_series(datum, order)
-        try:
-            return fit_rational(series, delta, big_d)
-        except NoRationalFit as exc:
-            last = exc
-    raise last
+    return fit_first(volume_ladder(datum), lambda order: volume_series(datum, order))
 
 
 def orbifold_volume(datum: ToricStackDatum) -> ExactScalar:
@@ -500,22 +493,15 @@ def stacky_counting_function(monoid: LinearObjectsMonoid, grade_bound: int,
     )
 
 
-def _require_vect(monoid):
+def _vect_dimension(monoid, x=0) -> int:
+    """The dimension a of x, (a,) or a, once monoid is checked to be the
+    vector-space variant, the only one the weighted inertia path supports."""
     if not isinstance(monoid, LinearObjectsMonoid) or not monoid.is_vect:
         raise UnsupportedAutGroup(
             "weighted inertia is implemented for the vector-space variant "
             "(automorphism groups a single general linear group)"
         )
-
-
-def _compositions_positive(total: int, parts: int):
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_positive(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return x[0] if isinstance(x, tuple) else int(x)
 
 
 def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
@@ -531,9 +517,8 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
     summed over d are the Ramanujan sum c_m(1) = mu(m), so only squarefree m
     contribute.
     """
-    _require_vect(monoid)
+    a = _vect_dimension(monoid, x)
     conv = monoid.conv
-    a = x[0] if isinstance(x, tuple) else int(x)
     if a == 0:
         return ExactScalar.zero()
     xx = monoid.euler_form((a,), (a,))
@@ -552,7 +537,9 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
             if n_delta == 0:
                 continue
             tuple_sum = ExactScalar.zero()
-            for ys in _compositions_positive(w, s):
+            # the compositions of w into s positive parts, in lexicographic order
+            for zs in _compositions(w - s, s):
+                ys = [z + 1 for z in zs]
                 e = Fraction(n * xx, 2) + Fraction(n * m * sum(y * y for y in ys), 2)
                 mass = q_power(e)
                 for y in ys:
@@ -593,18 +580,15 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
     Requires r | q^n - 1 (so that mu_r is constant on the level-n field).
     Returns (coefficient, list of BruteForceClass).
     """
-    _require_vect(monoid)
+    a = _vect_dimension(monoid, x)
     conv = monoid.conv
-    a = x[0] if isinstance(x, tuple) else int(x)
     q, p, e0 = monoid.q, *factor(monoid.q)[0]
     qn = q**n
     if (qn - 1) % r:
         raise ValueError(f"brute force needs r | q^n - 1; got r={r}, q^n={qn}")
     if a == 0:
         return ExactScalar.zero(), []
-    from .monoids import gl_order_int
-
-    pgl_size = gl_order_int(a, qn) // (qn - 1)
+    pgl_size = gl_order(a, n).substitute_q(q).as_rational() // (qn - 1)
     if pgl_size > 10**6:
         raise BruteForceTooLarge(f"|PGL_{a}(F_{qn})| = {pgl_size}")
     field = GF(p, e0 * n * r)
@@ -783,9 +767,8 @@ def bps_counting_function(monoid: LinearObjectsMonoid, x, level_bound: int,
                           mode: str = "differences") -> VolumeElem:
     """Counting-function value at x from minus the fitted limit of the
     weighted inertia series, normalized by half-Lefschetz powers."""
-    _require_vect(monoid)
+    a = _vect_dimension(monoid, x)
     conv = monoid.conv
-    a = x[0] if isinstance(x, tuple) else int(x)
     if a == 0:
         return VolumeElem([0] * level_bound)
     xx = monoid.euler_form((a,), (a,))
@@ -813,23 +796,23 @@ class IdentityResidualReport:
         self.mode = mode
         self.entries = entries  # (x, n, lhs, log value, direct log value)
 
-    @property
-    def residuals(self):
-        return [
-            (x, n, lhs - lg, lg - lgd) for (x, n, lhs, lg, lgd) in self.entries
-        ]
+    def _residuals_zero(self) -> list:
+        """Per entry, whether both of its differences vanish."""
+        return [(lhs - lg).is_zero() and (lg - lgd).is_zero()
+                for _, _, lhs, lg, lgd in self.entries]
 
     def is_zero(self) -> bool:
-        return all(d1.is_zero() and d2.is_zero() for _, _, d1, d2 in self.residuals)
+        return all(self._residuals_zero())
 
     def to_json(self):
         q0 = self.monoid.q
+        zero = self._residuals_zero()
         return {
             "mode": self.mode,
             "grade_bound": self.grade_bound,
             "level_bound": self.level_bound,
             "q": q0,
-            "identically_zero": self.is_zero(),
+            "identically_zero": all(zero),
             "entries": [
                 {
                     "element": list(x),
@@ -839,9 +822,9 @@ class IdentityResidualReport:
                     "pleth_log": str(lg),
                     "pleth_log_at_q": lg.eval_numeric(q0).real,
                     "log_direct": str(lgd),
-                    "residual_zero": (lhs - lg).is_zero() and (lg - lgd).is_zero(),
+                    "residual_zero": z,
                 }
-                for (x, n, lhs, lg, lgd) in self.entries
+                for (x, n, lhs, lg, lgd), z in zip(self.entries, zero)
             ],
         }
 
@@ -856,7 +839,7 @@ def plethystic_identity_residual(monoid: LinearObjectsMonoid, grade_bound: int,
     of half-Lefschetz powers.  Right side: pleth_log of the stacky counts,
     and the direct Moebius formula as a second, independent evaluation.
     """
-    _require_vect(monoid)
+    _vect_dimension(monoid)
     conv = monoid.conv
     budget = grade_bound * level_bound
     shifted = stacky_counting_function(monoid, grade_bound, budget,
@@ -873,22 +856,12 @@ def plethystic_identity_residual(monoid: LinearObjectsMonoid, grade_bound: int,
     return IdentityResidualReport(monoid, grade_bound, level_bound, mode, entries)
 
 
-class QuiverBPSResult:
-    """Refined BPS invariants per dimension vector, as level-truncated
-    values."""
-
-    def __init__(self, per_gamma):
-        self.per_gamma = per_gamma  # dict gamma -> VolumeElem
-
-    def omega(self, gamma) -> VolumeElem:
-        return self.per_gamma[tuple(gamma)]
-
-
 def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
-               conv: HalfLConvention = DEFAULT_CONVENTION) -> QuiverBPSResult:
+               conv: HalfLConvention = DEFAULT_CONVENTION) -> dict:
     """Extract refined BPS invariants of a symmetric quiver: apply the
     plethystic logarithm to the stacky counting function and multiply by the
-    difference of half-Lefschetz powers."""
+    difference of half-Lefschetz powers.  Returns {dimension vector:
+    VolumeElem of its level-truncated invariants}."""
     monoid = LinearObjectsMonoid(quiver, q, conv)
     budget = gamma_bound * level_bound
     shifted = stacky_counting_function(monoid, gamma_bound, budget,
@@ -903,7 +876,7 @@ def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
             denom = half_l_power(1, n, conv) - half_l_power(-1, n, conv)
             levels.append(lg.value(gamma, n) * denom)
         out[gamma] = VolumeElem(levels)
-    return QuiverBPSResult(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -914,25 +887,15 @@ def delta_report(max_m: int = 3, max_s: int = 3, max_r: int = 24) -> dict:
     """Tabulate both counting modes of the weight regions with their fitted
     limits, and determine empirically which mode is consistent with the
     brute-force weighted inertia count and the plethystic identity."""
-    from .ehrhart import delta_limit
-
+    modes = ("differences", "orbits")
     table = []
     for m in range(1, max_m + 1):
         for s in range(1, max_s + 1):
             region = DeltaRegion(m, s)
-            counts = {
-                mode: [delta_count(region, r, mode) for r in range(1, max_r + 1)]
-                for mode in ("differences", "orbits")
-            }
-            limits = {}
-            for mode in ("differences", "orbits"):
-                try:
-                    limits[mode] = str(delta_limit(region, mode))
-                except NoRationalFit:
-                    limits[mode] = "no rational fit"
-            table.append(
-                {"m": m, "s": s, "counts": counts, "limits": limits}
-            )
+            counts = {mode: [delta_count(region, r, mode) for r in range(1, max_r + 1)]
+                      for mode in modes}
+            limits = {mode: str(delta_limit(region, mode)) for mode in modes}
+            table.append({"m": m, "s": s, "counts": counts, "limits": limits})
     # (q, r) pairs with r | q - 1; r = 4 is the first spot where the two
     # counting modes disagree, so q = 5 discriminates
     checks = []
@@ -941,17 +904,13 @@ def delta_report(max_m: int = 3, max_s: int = 3, max_r: int = 24) -> dict:
         brute, _ = weighted_inertia_coefficient_bruteforce(mon, (2,), 1, r_chk)
         checks.append((mon, r_chk, brute.substitute_q(q_chk)))
     verdict = {}
-    for mode in ("differences", "orbits"):
+    for mode in modes:
         agree = all(
             weighted_inertia_coefficient(mon, (2,), 1, r_chk, mode).substitute_q(mon.q) == brute
             for mon, r_chk, brute in checks
         )
-        monoid = LinearObjectsMonoid.vect(3)
-        try:
-            resid_zero = plethystic_identity_residual(monoid, 2, 1, mode).is_zero()
-        except NoRationalFit:
-            resid_zero = False
-        verdict[mode] = {"bruteforce_match": agree, "identity_residual_zero": resid_zero}
+        resid = plethystic_identity_residual(LinearObjectsMonoid.vect(3), 2, 1, mode)
+        verdict[mode] = {"bruteforce_match": agree, "identity_residual_zero": resid.is_zero()}
     consistent = [m for m, v in verdict.items() if v["bruteforce_match"] and v["identity_residual_zero"]]
     determination = (
         "mode(s) consistent with the brute-force count and the plethystic "

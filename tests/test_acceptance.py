@@ -251,23 +251,23 @@ def test_criterion_7_bps_desk_results():
                       "loop quivers satisfy the integrality property", 600):
         for qv in (2, 3):
             res0 = quiver_bps(Quiver(1), qv, 6, 2)
-            assert res0.omega((1,)).levels == [ExactScalar.one()] * 2
+            assert res0[(1,)].levels == [ExactScalar.one()] * 2
             for a in range(2, 7):
-                assert all(v.is_zero() for v in res0.omega((a,)).levels), (qv, a)
+                assert all(v.is_zero() for v in res0[(a,)].levels), (qv, a)
             res1 = quiver_bps(Quiver(1, [(0, 0, 1)]), qv, 6, 2)
-            assert res1.omega((1,)).levels == [half_l_power(1, 1), half_l_power(1, 2)]
+            assert res1[(1,)].levels == [half_l_power(1, 1), half_l_power(1, 2)]
             for a in range(2, 7):
-                assert all(v.is_zero() for v in res1.omega((a,)).levels), (qv, a)
+                assert all(v.is_zero() for v in res1[(a,)].levels), (qv, a)
             # independent truncated Euler-product oracle, computed up front
             for a in range(1, 7):
                 for n in (1, 2):
-                    assert res0.omega((a,)).get(n) == oracle_zero_arrow_omega(a, n)
-                    assert res1.omega((a,)).get(n) == oracle_one_loop_omega(a, n)
+                    assert res0[(a,)].get(n) == oracle_zero_arrow_omega(a, n)
+                    assert res1[(a,)].get(n) == oracle_one_loop_omega(a, n)
         positivity = []
         for loops in (2, 3):
             res = quiver_bps(Quiver(1, [(0, 0, loops)]), 2, 6, 2)
             for a in range(1, 7):
-                integral, nonneg = _integer_laurent_report(res.omega((a,)), 2)
+                integral, nonneg = _integer_laurent_report(res[(a,)], 2)
                 assert integral, (loops, a)
                 positivity.append(((loops, a), nonneg))
         # positivity is recorded, not asserted

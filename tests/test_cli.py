@@ -171,6 +171,26 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threads, text, message", [
+    ("0", "{}", "STACKY_THREADS must be a positive integer"),
+    ("\u00b2", "{}", "STACKY_THREADS must be a positive integer"),
+    (None, "[1, 2]", "parameter file must hold a JSON object"),
+    (None, None, "No such file or directory"),
+])
+def test_environment_and_input_refusals_exit_2(tmp_path, capsys, monkeypatch, threads, text,
+                                                message):
+    if threads is None:
+        monkeypatch.delenv("STACKY_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STACKY_THREADS", threads)
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(["delta", "--input", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "SchemaViolation" and message in err["message"]
+
+
 def test_determinism_byte_identical(tmp_path):
     job = {"n": 1, "torusRank": 0, "finiteOrders": [2], "weights": [[1]],
             "q": 5, "R": 6}
@@ -544,6 +564,22 @@ def test_volume_boolean_entries_exit_2(tmp_path, capsys, params, field):
     assert code == 2
     assert err["error"]["kind"] == "SchemaViolation"
     assert field in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, params", [
+    ("delta", {"m": 1, "s": 2, "r": 4}),
+    ("plid-check", {"gradeBound": 1, "levelBound": 1}),
+])
+@pytest.mark.parametrize("modes, field", [
+    ({"mode": ""}, "mode"), ({"mode": None}, "mode"), ({"mode": 0}, "mode"),
+    ({"mode": False}, "mode"), ({"mode": []}, "mode"), ({"mode": "both"}, "mode"),
+    ({"delta_mode": None}, "delta_mode"), ({"delta_mode": "", "mode": "orbits"}, "delta_mode"),
+])
+def test_invalid_mode_exits_2_naming_the_field(tmp_path, capsys, command, params, modes, field):
+    code, err = run_error(tmp_path, capsys, command, {**params, **modes})
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation"
+    assert repr(field) in err["error"]["message"]
 
 
 def test_delta_mode_flag_overrides_file_mode(tmp_path):

@@ -17,6 +17,7 @@ from stacky_volumes.ehrhart import (
     Unbounded,
     count_dilation,
     delta_count,
+    delta_ladder,
     delta_limit,
     ehrhart_limit,
     ehrhart_series,
@@ -25,6 +26,7 @@ from stacky_volumes.ehrhart import (
     hull_hrep,
     positive_functional_exists,
 )
+from stacky_volumes.ratfun import Series, fit_rational
 from stacky_volumes.scalar import ExactScalar
 
 
@@ -357,6 +359,18 @@ def test_delta_limits():
     for m in (1, 2, 3):
         for s in (1, 2, 3):
             assert delta_limit(DeltaRegion(m, s), "differences") == (-1) ** s
+
+
+@pytest.mark.parametrize("mode", ["differences", "orbits"])
+def test_delta_ladder_last_rung_fits(mode):
+    # both counts are quasi-polynomials of degree <= s with period dividing
+    # m lcm(1..s), so delta_limit needs no rung past its ladder's last
+    for m in range(1, 5):
+        for s in range(1, 6):
+            region = DeltaRegion(m, s)
+            delta, big_d, order = delta_ladder(region)[-1]
+            counts = Series([delta_count(region, r, mode) for r in range(1, order + 1)])
+            fit_rational(counts, delta, big_d)
 
 
 def test_ehrhart_series_type():

@@ -9,6 +9,7 @@ from stacky_volumes.ratfun import (
     NoRationalFit,
     RationalFunctionFit,
     Series,
+    fit_first,
     fit_rational,
 )
 from stacky_volumes.scalar import ExactScalar, q_power
@@ -116,3 +117,29 @@ def test_series_accessors():
         s.coeff(3)
     with pytest.raises(IndexError):
         s.coeff(0)
+
+
+def _recorded(series_of):
+    """series_of, and the list of the orders it is called with."""
+    calls = []
+
+    def wrapped(order):
+        calls.append(order)
+        return series_of(order)
+
+    return wrapped, calls
+
+
+def test_fit_first_fits_on_the_second_rung():
+    series_of, calls = _recorded(lambda order: Series([r + 1 for r in range(1, order + 1)]))
+    fit = fit_first([(1, 1, 7), (1, 2, 9), (1, 3, 11)], series_of)
+    assert (fit.delta, fit.big_d, fit.witnessed_order) == (1, 2, 9)
+    assert fit.limit_at_infinity() == -1
+    assert calls == [7, 9]
+
+
+def test_fit_first_reraises_the_last_no_rational_fit():
+    series_of, calls = _recorded(lambda order: Series([2 ** r for r in range(1, order + 1)]))
+    with pytest.raises(NoRationalFit, match=r"delta=2, D=1"):
+        fit_first([(1, 1, 8), (1, 2, 9), (2, 1, 10)], series_of)
+    assert calls == [8, 9, 10]

@@ -1,7 +1,10 @@
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_one_loop_omega, oracle_zero_arrow_omega
 
@@ -24,6 +27,7 @@ from stacky_volumes.stacky import (
     quiver_bps,
     smith_invariants,
     stacky_counting_function,
+    volume_fit,
     volume_series,
     weighted_inertia_coefficient,
     weighted_inertia_coefficient_bruteforce,
@@ -333,16 +337,16 @@ def test_identity_grade_one_closed_form():
 
 def test_quiver_bps_zero_arrow():
     res = quiver_bps(Quiver(1), 2, 4, 2)
-    assert res.omega((1,)).levels == [ExactScalar.one()] * 2
+    assert res[(1,)].levels == [ExactScalar.one()] * 2
     for a in range(2, 5):
-        assert all(v.is_zero() for v in res.omega((a,)).levels)
+        assert all(v.is_zero() for v in res[(a,)].levels)
 
 
 def test_quiver_bps_one_loop():
     res = quiver_bps(Quiver(1, [(0, 0, 1)]), 2, 4, 2)
-    assert res.omega((1,)).levels == [half_l_level(1), half_l_level(2)]
+    assert res[(1,)].levels == [half_l_level(1), half_l_level(2)]
     for a in range(2, 5):
-        assert all(v.is_zero() for v in res.omega((a,)).levels)
+        assert all(v.is_zero() for v in res[(a,)].levels)
 
 
 def test_quiver_bps_matches_euler_product_oracles():
@@ -351,16 +355,16 @@ def test_quiver_bps_matches_euler_product_oracles():
         res1 = quiver_bps(Quiver(1, [(0, 0, 1)]), qv, 4, 2)
         for a in range(1, 5):
             for n in (1, 2):
-                assert res0.omega((a,)).get(n) == oracle_zero_arrow_omega(a, n)
-                assert res1.omega((a,)).get(n) == oracle_one_loop_omega(a, n)
+                assert res0[(a,)].get(n) == oracle_zero_arrow_omega(a, n)
+                assert res1[(a,)].get(n) == oracle_one_loop_omega(a, n)
 
 
 def test_quiver_bps_two_vertex_additivity():
     res = quiver_bps(Quiver(2), 2, 3, 2)
-    assert res.omega((1, 0)).levels == [ExactScalar.one()] * 2
-    assert res.omega((0, 1)).levels == [ExactScalar.one()] * 2
+    assert res[(1, 0)].levels == [ExactScalar.one()] * 2
+    assert res[(0, 1)].levels == [ExactScalar.one()] * 2
     for gamma in [(1, 1), (2, 0), (2, 1), (1, 2), (3, 0)]:
-        assert all(v.is_zero() for v in res.omega(gamma).levels)
+        assert all(v.is_zero() for v in res[gamma].levels)
 
 
 def test_quiver_bps_sym_roundtrip():
@@ -378,9 +382,9 @@ def test_quiver_bps_sym_roundtrip():
 
 def test_two_loop_known_small_values():
     res = quiver_bps(Quiver(1, [(0, 0, 2)]), 2, 3, 1)
-    assert res.omega((1,)).get(1) == q_power(1)
-    assert res.omega((2,)).get(1) == q_power(F(5, 2))
-    assert res.omega((3,)).get(1) == q_power(5)
+    assert res[(1,)].get(1) == q_power(1)
+    assert res[(2,)].get(1) == q_power(F(5, 2))
+    assert res[(3,)].get(1) == q_power(5)
 
 
 def test_stacky_counting_function_unit_value():
@@ -403,3 +407,44 @@ def test_delta_report_structure_and_verdict():
     cells = {(row["m"], row["s"]): row for row in report["table"]}
     assert cells[(1, 1)]["limits"]["differences"] == "-1"
     assert cells[(1, 1)]["limits"]["orbits"] == "-1"
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow
+
+
+@st.composite
+def _admitted_volume_data(draw):
+    """Data the volume command admits: torus rows summing to 0, with entries
+    in [-2, 2], and at most one mu_d with d | q - 1."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    n, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    rows = []
+    for _ in range(k):
+        head = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        if abs(sum(head)) > 2:
+            reject()
+        rows.append(head + [-sum(head)])
+    orders = [d for d in range(2, q) if (q - 1) % d == 0]
+    finite = draw(st.lists(st.sampled_from(orders), max_size=1)) if orders else []
+    rows += [draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)) for d in finite]
+    try:
+        return ToricStackDatum(n, k, finite, rows, q)
+    except NotGenericallyRepresentable:
+        reject()
+
+
+@settings(max_examples=40)
+@given(datum=_admitted_volume_data())
+def test_admitted_volume_data_fit(datum):
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        volume_fit(datum)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
