@@ -75,8 +75,8 @@ _DELTA_BUDGET = 3 * 10**6
 # plid-check: about 70 per (part, series order, composition) term of each
 # grade's weighted inertia series per level, growing by a tenth per level,
 # plus grade^5 levels^3 / 15 for the plethystic logarithms.  Admitted at the
-# edge: gradeBound 5 with levelBound 7 (2.9 million, 3.7 s), 6 with 2 (2.3
-# million, 2.4 s); 7 with 1 is charged 3.2 million (refused; 3.2 s).
+# edge: gradeBound 3 with levelBound 35 and 5 with 7 (2.9 million; 1.9 s and
+# 1.3 s), 6 with 2 (2.3 million, 0.7 s); 7 with 1 (3.2 million, 0.8 s) is refused.
 _PLID_BUDGET = 3 * 10**6
 # volume: 2 per fibre point, coordinate and group factor, then, per fibre
 # orbit and twist order r up to the larger of R and volume_fit's first
@@ -510,8 +510,15 @@ def _tsv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are refusals like any other, not argparse's usage exit."""
+
+    def error(self, message):
+        raise SchemaViolation(message)
+
+
 def run(argv) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stacky-volumes",
         description="exact orbifold volumes, plethystic operations, BPS invariants",
     )
@@ -525,12 +532,18 @@ def run(argv) -> int:
     parser.add_argument("--q", type=int)
     parser.add_argument("--half-l", dest="half_l")
     parser.add_argument("--delta-mode", dest="delta_mode", choices=("differences", "orbits"))
+    args = None  # refusals go to stdout until --output is known to be writable
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        parsed = parser.parse_args(argv)
+        if parsed.output:
+            try:
+                open(parsed.output, "a").close()
+            except OSError as exc:
+                raise SchemaViolation(f"cannot write --output: {exc}") from exc
+        args = parsed
         report = _HANDLERS[args.command](_params(args))
+    except SystemExit:  # --help, printed by argparse
+        return 0
     except SchemaViolation as exc:
         code, error = 2, {"kind": "SchemaViolation", "message": str(exc)}
     except _MODULE_ERROR_CLASSES as exc:
@@ -567,11 +580,11 @@ def _params(args) -> dict:
 
 
 def _emit(report, args, force_json=False):
-    if args.format == "tsv" and not force_json:
+    if args and args.format == "tsv" and not force_json:
         text = _tsv(report)
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
+    if args and args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
     else:

@@ -517,25 +517,31 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
     summed over d are the Ramanujan sum c_m(1) = mu(m), so only squarefree m
     contribute.
     """
+    return _weighted_inertia(monoid, x, n, [r], mode)[0]
+
+
+def weighted_inertia_series(monoid: LinearObjectsMonoid, x, n: int, order: int,
+                            mode: str = "differences") -> Series:
+    """Series of weighted inertia masses of the rigidified automorphism group
+    of x over the level-n field, r = 1..order."""
+    return Series(_weighted_inertia(monoid, x, n, range(1, order + 1), mode))
+
+
+def _weighted_inertia(monoid: LinearObjectsMonoid, x, n: int, rs, mode: str) -> list:
+    """The weighted inertia masses at the twist orders rs.  Class masses do not
+    depend on r, so their composition sums are built once, in summation order."""
     a = _vect_dimension(monoid, x)
     conv = monoid.conv
-    if a == 0:
-        return ExactScalar.zero()
     xx = monoid.euler_form((a,), (a,))
-    total = ExactScalar.zero()
+    masses = []  # (m, s, mu(m) * sign, composition sum of class masses)
     for m in range(1, a + 1):
-        if r % m or a % m:
-            continue
-        mu = mobius(m)
+        mu = 0 if a % m else mobius(m)
         if mu == 0:
             continue
         assert xx % (m * m) == 0
         sign = (-1) ** ((conv.b1 * xx // (m * m)) % 2)
         w = a // m
         for s in range(1, w + 1):
-            n_delta = delta_count(DeltaRegion(m, s), r, mode)
-            if n_delta == 0:
-                continue
             tuple_sum = ExactScalar.zero()
             # the compositions of w into s positive parts, in lexicographic order
             for zs in _compositions(w - s, s):
@@ -545,17 +551,16 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
                 for y in ys:
                     mass = mass / gl_order(y, n * m)
                 tuple_sum = tuple_sum + mass
-            total = total + tuple_sum * Fraction(mu * sign * n_delta, m * s)
-    return total * (q_power(n) - 1)
-
-
-def weighted_inertia_series(monoid: LinearObjectsMonoid, x, n: int, order: int,
-                            mode: str = "differences") -> Series:
-    """Series of weighted inertia masses of the rigidified automorphism group
-    of x over the level-n field, r = 1..order."""
-    return Series(
-        [weighted_inertia_coefficient(monoid, x, n, r, mode) for r in range(1, order + 1)]
-    )
+            masses.append((m, s, mu * sign, tuple_sum))
+    out = []
+    for r in rs:
+        total = ExactScalar.zero()
+        for m, s, mu_sign, tuple_sum in masses:
+            n_delta = 0 if r % m else delta_count(DeltaRegion(m, s), r, mode)
+            if n_delta:
+                total = total + tuple_sum * Fraction(mu_sign * n_delta, m * s)
+        out.append(total * (q_power(n) - 1))
+    return out
 
 
 class BruteForceClass:
@@ -743,14 +748,16 @@ def _row_reduce(field: GF, m):
 def _conjugacy_classes(field: GF, group, subset):
     a = len(group[0])
     identity = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
+    inverses = []
+    for z in group:
+        _, reduced = _row_reduce(field, [list(r) + e for r, e in zip(z, identity)])
+        inverses.append(tuple(tuple(row[a:]) for row in reduced))
     remaining = set(subset)
     out = []
     while remaining:
         rep = min(remaining)
         orbit = set()
-        for z in group:
-            _, reduced = _row_reduce(field, [list(r) + e for r, e in zip(z, identity)])
-            zi = tuple(tuple(row[a:]) for row in reduced)
+        for z, zi in zip(group, inverses):
             conj = _projective_canon(field, _mat_mul(field, _mat_mul(field, z, rep), zi))
             orbit.add(conj)
         remaining -= orbit

@@ -7,7 +7,8 @@ the Taylor expansion of a rational-function fit, the dict view of a scalar
 (CycNumber coefficients) and its conversion to the integer form, the
 dict-path scalar arithmetic (with its own cyclotomic product, Galois action
 and inverse) and the normal form by Euclid over Q(zeta)[t], evaluation at
-q^(1/2) = t0, and the per-prefix dilated lattice-point count."""
+q^(1/2) = t0, the per-prefix dilated lattice-point count, and the weighted
+inertia mass rebuilt from every class mass at each twist order r."""
 
 import cmath
 import functools
@@ -17,8 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from stacky_volumes.ehrhart import DeltaRegion, delta_count
 from stacky_volumes.lambdaring import CountingFunction, adams, log_conv, mobius
-from stacky_volumes.monoids import FreeOrbitMonoid
+from stacky_volumes.monoids import FreeOrbitMonoid, _compositions, gl_order
 from stacky_volumes.ratfun import Series
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
@@ -34,6 +36,7 @@ from stacky_volumes.scalar import (
     q_power,
     root_of_unity,
 )
+from stacky_volumes.stacky import _vect_dimension
 
 ZERO = Fraction(0)
 
@@ -626,3 +629,40 @@ def reference_count_dilation(polytope, r: int) -> int:
         np.maximum(width, 0, out=width)
         total += int(width[ok].sum())
     return total
+
+
+def reference_weighted_inertia_coefficient(monoid, x, n: int, r: int,
+                                           mode: str = "differences") -> ExactScalar:
+    """The weighted inertia mass at twist order r, every class mass rebuilt
+    for this r alone: the same scalar operations, in the same order, as each
+    coefficient of stacky.weighted_inertia_series."""
+    a = _vect_dimension(monoid, x)
+    conv = monoid.conv
+    if a == 0:
+        return ExactScalar.zero()
+    xx = monoid.euler_form((a,), (a,))
+    total = ExactScalar.zero()
+    for m in range(1, a + 1):
+        if r % m or a % m:
+            continue
+        mu = mobius(m)
+        if mu == 0:
+            continue
+        assert xx % (m * m) == 0
+        sign = (-1) ** ((conv.b1 * xx // (m * m)) % 2)
+        w = a // m
+        for s in range(1, w + 1):
+            n_delta = delta_count(DeltaRegion(m, s), r, mode)
+            if n_delta == 0:
+                continue
+            tuple_sum = ExactScalar.zero()
+            # the compositions of w into s positive parts, in lexicographic order
+            for zs in _compositions(w - s, s):
+                ys = [z + 1 for z in zs]
+                e = Fraction(n * xx, 2) + Fraction(n * m * sum(y * y for y in ys), 2)
+                mass = q_power(e)
+                for y in ys:
+                    mass = mass / gl_order(y, n * m)
+                tuple_sum = tuple_sum + mass
+            total = total + tuple_sum * Fraction(mu * sign * n_delta, m * s)
+    return total * (q_power(n) - 1)

@@ -118,6 +118,43 @@ def test_plethystic_command(tmp_path):
 
 def test_unknown_command_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["kind"] == "SchemaViolation" and "invalid choice: 'frobnicate'" in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["delta", "--format", "xml"], "invalid choice: 'xml'"),
+    (["delta", "--levels", "abc"], "invalid int value: 'abc'"),
+    (["delta", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_refusals_exit_2_with_json(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["kind"] == "SchemaViolation" and message in err["message"]
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert "usage: stacky-volumes" in capsys.readouterr().out
+
+
+def test_unwritable_output_refused_before_the_job(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(stacky_volumes.cli.st, "delta_report", never)
+    out = tmp_path / "missing" / "out.json"
+    assert run(["delta", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["kind"] == "SchemaViolation" and "--output" in err["message"]
+    assert not out.parent.exists()
 
 
 def test_schema_violation_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from fractions import Fraction as F
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_one_loop_omega, oracle_zero_arrow_omega
+from helpers import (
+    oracle_one_loop_omega,
+    oracle_zero_arrow_omega,
+    reference_weighted_inertia_coefficient,
+)
 
 from stacky_volumes.lambdaring import pleth_log, pleth_sym
 from stacky_volumes.monoids import LinearObjectsMonoid, Quiver
-from stacky_volumes.scalar import ExactScalar, factor, half_l_level, q_power
+from stacky_volumes.scalar import ExactScalar, HalfLConvention, factor, half_l_level, q_power
 from stacky_volumes.stacky import (
     GF,
     BruteForceTooLarge,
@@ -18,6 +23,13 @@ from stacky_volumes.stacky import (
     NotGenericallyRepresentable,
     ToricStackDatum,
     UnsupportedAutGroup,
+    _conjugacy_classes,
+    _gl_matrices,
+    _is_scalar,
+    _mat_mul,
+    _mat_pow,
+    _projective_canon,
+    _projective_classes,
     bps_counting_function,
     delta_report,
     dm_orbifold_sum,
@@ -296,6 +308,45 @@ def test_weighted_inertia_series_paths_agree():
     for r in (1, 2):
         brute, _ = weighted_inertia_coefficient_bruteforce(mon, (2,), 1, r)
         assert par.coeff(r).substitute_q(3) == brute.substitute_q(3)
+
+
+@pytest.mark.parametrize("bits", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("mode", ["differences", "orbits"])
+def test_weighted_inertia_series_matches_per_r_oracle(mode, bits):
+    # class masses are built once per series; every coefficient must equal the
+    # per-r sum in its printed form, its JSON and every bit of eval_numeric
+    mon = LinearObjectsMonoid.vect(3, HalfLConvention(*bits))
+    for a in range(1, 5):
+        delta = math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
+        order = delta * (a + 1) + delta + 2  # the order bps_counting_function fits
+        for n in (1, 2):
+            series = weighted_inertia_series(mon, (a,), n, order, mode)
+            for r in range(1, order + 1):
+                got = series.coeff(r)
+                want = reference_weighted_inertia_coefficient(mon, (a,), n, r, mode)
+                assert str(got) == str(want)
+                assert got.to_json() == want.to_json()
+                for q0 in (3, 5):
+                    assert got.eval_numeric(q0) == want.eval_numeric(q0)
+
+
+@pytest.mark.parametrize("q, r", [(3, 2), (5, 4)])
+def test_bruteforce_class_equation(q, r):
+    # PGL_2(F_q) inside the field the brute force builds for r-torsion
+    field = GF(q, r)
+    proj = _projective_classes(field, _gl_matrices(field, field.subfield_elements(q), 2))
+    assert len(proj) == q * (q * q - 1)
+    torsion = [g for g in proj if _is_scalar(field, _mat_pow(field, g, r))]
+    classes = _conjugacy_classes(field, proj, torsion)
+    assert sum(size for _, size in classes) == len(torsion)
+    for rep, size in classes:
+        cent = sum(_projective_canon(field, _mat_mul(field, z, rep))
+                   == _projective_canon(field, _mat_mul(field, rep, z)) for z in proj)
+        assert size * cent == len(proj)
+    _, infos = weighted_inertia_coefficient_bruteforce(LinearObjectsMonoid.vect(q), (2,), 1, r)
+    assert sorted(c.centralizer_order for c in infos) == sorted(len(proj) // size
+                                                                for _, size in classes)
+    assert sum(len(proj) // c.centralizer_order for c in infos) == len(torsion)
 
 
 def test_bps_counting_function_values():
