@@ -5,7 +5,8 @@ or inline defaults), producing a deterministic JSON (or TSV) report.  Exact
 scalars are printed symbolically and, when the job carries a q, numerically.
 
 Exit codes: 0 success, 2 validation failure (unknown command, schema
-violation), 1 computation failure (module errors, wrapped with their origin).
+violation), 1 computation failure (a module error, wrapped with its origin, or
+a float overflow).
 """
 
 from __future__ import annotations
@@ -72,11 +73,13 @@ _SPAN_BUDGET = 2 * 10**4
 # s = 8 11.9 million (refused; 6 s).  The largest admitted jobs measured:
 # s = 3 with r = 1,490,000 in differences mode 3.6 s, r = 5,900 in both 3.6 s.
 _DELTA_BUDGET = 3 * 10**6
-# plid-check: about 70 per (part, series order, composition) term of each
-# grade's weighted inertia series per level, growing by a tenth per level,
-# plus grade^5 levels^3 / 15 for the plethystic logarithms.  Admitted at the
-# edge: gradeBound 3 with levelBound 35 and 5 with 7 (2.9 million; 1.9 s and
-# 1.3 s), 6 with 2 (2.3 million, 0.7 s); 7 with 1 (3.2 million, 0.8 s) is refused.
+# plid-check: per grade a and level n, 0.7 (4 + n) (a + 2)^2 per composition
+# of a class mass; in orbits mode, per a, the Burnside loops of delta_limit
+# for the region (1, a), as in delta; per level N the logarithms read with
+# grade cap c, c^3 (c + 1)^2 N.  Admitted at the edge (q = 3): gradeBound 12
+# at 1 level (2.8 million, 3.0 s), 11 at 2 (3.0 s), 3 at 100 (1.1 s); in
+# orbits mode 7 at 10 (2.1 s).  Refused: 13 at 1 level (7.0 s), 8 in orbits
+# mode (6.8 s).
 _PLID_BUDGET = 3 * 10**6
 # volume: 2 per fibre point, coordinate and group factor, then, per fibre
 # orbit and twist order r up to the larger of R and volume_fit's first
@@ -367,23 +370,27 @@ def _cmd_plid_check(params):
     q = _prime_power(params)
     mode = _mode(params, "differences")
     conv = _parse_convention(params)
-    _plid_preflight(grade, levels)
+    _plid_preflight(grade, levels, mode)
     monoid = mo.LinearObjectsMonoid.vect(q, conv)
     report = st.plethystic_identity_residual(monoid, grade, levels, mode)
     return report.to_json()
 
 
-def _plid_preflight(grade, levels):
-    """Refuse, before any series, a job whose weighted inertia series and
+def _plid_preflight(grade, levels, mode):
+    """Refuse, before any count, a job whose class masses, region limits and
     plethystic logarithms cost more than _PLID_BUDGET."""
-    per_level = 0
+    steps = 0
     for a in range(1, grade + 1):
         compositions = sum(2 ** (a // m - 1) for m in range(1, a + 1)
                            if a % m == 0 and lr.mobius(m))
-        per_level += a * (a * (a + 2) + 2) * compositions
-        if per_level > _PLID_BUDGET:
+        steps += compositions * (a + 2) ** 2 * (4 * levels + levels * (levels + 1) // 2) * 7 // 10
+        if mode == "orbits":  # the necklace count of (1, a) fits on the second rung
+            steps += eh.delta_ladder(eh.DeltaRegion(1, a))[1][2] ** 2 // 12
+        if steps > _PLID_BUDGET:
             break
-    steps = 70 * per_level * (levels + levels * (levels + 1) // 20) + grade**5 * levels**3 // 15
+    else:
+        caps = lr.log_demand(grade, grade * levels)
+        steps += sum(c**3 * (c + 1) ** 2 * n for n, c in caps.items())
     if steps > _PLID_BUDGET:
         raise SchemaViolation(
             f"gradeBound {grade} and levelBound {levels} are over the plid-check budget of"
@@ -490,6 +497,8 @@ _MODULE_ERRORS = (
     (st.StackyError, "stacky"),
 )
 _MODULE_ERROR_CLASSES = tuple(cls for cls, _ in _MODULE_ERRORS)
+# with the module errors that the volume input alone decides
+_REFUSALS = (SchemaViolation, st.NonSplitFiniteGroup, st.NotGenericallyRepresentable)
 
 
 def _tsv(report) -> str:
@@ -544,12 +553,12 @@ def run(argv) -> int:
         report = _HANDLERS[args.command](_params(args))
     except SystemExit:  # --help, printed by argparse
         return 0
-    except SchemaViolation as exc:
+    except _REFUSALS as exc:
         code, error = 2, {"kind": "SchemaViolation", "message": str(exc)}
     except _MODULE_ERROR_CLASSES as exc:
         origin = next(name for cls, name in _MODULE_ERRORS if isinstance(exc, cls))
         code, error = 1, {"kind": type(exc).__name__, "module": origin, "message": str(exc)}
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         code, error = 1, {"kind": type(exc).__name__, "message": str(exc)}
     else:
         _emit(report, args)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .ehrhart import DeltaRegion, delta_count, delta_limit, positive_functional_exists
 from .lambdaring import (CountingFunction, VolumeElem, log_demand, log_direct, mobius,
                          pleth_log)
-from .ratfun import Series, fit_first, fit_rational
+from .ratfun import Series, fit_first
 from .scalar import (
     DEFAULT_CONVENTION,
     ExactScalar,
@@ -517,23 +517,21 @@ def weighted_inertia_coefficient(monoid: LinearObjectsMonoid, x, n: int, r: int,
     summed over d are the Ramanujan sum c_m(1) = mu(m), so only squarefree m
     contribute.
     """
-    return _weighted_inertia(monoid, x, n, [r], mode)[0]
+    total = ExactScalar.zero()
+    for m, s, mu_sign, tuple_sum in _class_masses(monoid, x, n):
+        n_delta = 0 if r % m else delta_count(DeltaRegion(m, s), r, mode)
+        if n_delta:
+            total = total + tuple_sum * Fraction(mu_sign * n_delta, m * s)
+    return total * (q_power(n) - 1)
 
 
-def weighted_inertia_series(monoid: LinearObjectsMonoid, x, n: int, order: int,
-                            mode: str = "differences") -> Series:
-    """Series of weighted inertia masses of the rigidified automorphism group
-    of x over the level-n field, r = 1..order."""
-    return Series(_weighted_inertia(monoid, x, n, range(1, order + 1), mode))
-
-
-def _weighted_inertia(monoid: LinearObjectsMonoid, x, n: int, rs, mode: str) -> list:
-    """The weighted inertia masses at the twist orders rs.  Class masses do not
-    depend on r, so their composition sums are built once, in summation order."""
+def _class_masses(monoid: LinearObjectsMonoid, x, n: int) -> list:
+    """The factors of the weighted inertia mass that do not depend on the twist
+    order: (m, s, mu(m) * sign, composition sum of class masses), in order."""
     a = _vect_dimension(monoid, x)
     conv = monoid.conv
     xx = monoid.euler_form((a,), (a,))
-    masses = []  # (m, s, mu(m) * sign, composition sum of class masses)
+    masses = []
     for m in range(1, a + 1):
         mu = 0 if a % m else mobius(m)
         if mu == 0:
@@ -552,15 +550,7 @@ def _weighted_inertia(monoid: LinearObjectsMonoid, x, n: int, rs, mode: str) -> 
                     mass = mass / gl_order(y, n * m)
                 tuple_sum = tuple_sum + mass
             masses.append((m, s, mu * sign, tuple_sum))
-    out = []
-    for r in rs:
-        total = ExactScalar.zero()
-        for m, s, mu_sign, tuple_sum in masses:
-            n_delta = 0 if r % m else delta_count(DeltaRegion(m, s), r, mode)
-            if n_delta:
-                total = total + tuple_sum * Fraction(mu_sign * n_delta, m * s)
-        out.append(total * (q_power(n) - 1))
-    return out
+    return masses
 
 
 class BruteForceClass:
@@ -772,23 +762,23 @@ def _conjugacy_classes(field: GF, group, subset):
 
 def bps_counting_function(monoid: LinearObjectsMonoid, x, level_bound: int,
                           mode: str = "differences") -> VolumeElem:
-    """Counting-function value at x from minus the fitted limit of the
-    weighted inertia series, normalized by half-Lefschetz powers."""
+    """Counting-function value at x from minus the limit at T -> infinity of
+    the weighted inertia series, normalized by half-Lefschetz powers.  Its
+    coefficient of T^r is (q^n - 1) sum K_{m,s} [m | r] Delta_{m,s}(r), with
+    K_{m,s} = mu(m) sign / (m s) times the composition sum of class masses.
+    As Delta_{m,s}(mk) = Delta_{1,s}(k) and U = T^m keeps the limit, it is
+    (q^n - 1) sum K_{m,s} L_s, L_s = delta_limit of the region (1, s)."""
     a = _vect_dimension(monoid, x)
     conv = monoid.conv
-    if a == 0:
-        return VolumeElem([0] * level_bound)
     xx = monoid.euler_form((a,), (a,))
-    delta = math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
-    big_d = a + 1
-    order = delta * big_d + delta + 2
     sign = -((-1) ** ((conv.b2 * xx) % 2))
+    limits = [delta_limit(DeltaRegion(1, s), mode).as_rational() for s in range(1, a + 1)]
     levels = []
     for n in range(1, level_bound + 1):
-        series = weighted_inertia_series(monoid, (a,), n, order, mode)
-        fit = fit_rational(series, delta, big_d)
-        lim = fit.limit_at_infinity()
-        levels.append(sign * half_l_power(-xx - 1, n, conv) * lim)
+        lim = ExactScalar.zero()
+        for m, s, mu_sign, tuple_sum in _class_masses(monoid, x, n):
+            lim = lim + tuple_sum * (Fraction(mu_sign, m * s) * limits[s - 1])
+        levels.append(sign * half_l_power(-xx - 1, n, conv) * (lim * (q_power(n) - 1)))
     return VolumeElem(levels)
 
 

@@ -7,8 +7,9 @@ the Taylor expansion of a rational-function fit, the dict view of a scalar
 (CycNumber coefficients) and its conversion to the integer form, the
 dict-path scalar arithmetic (with its own cyclotomic product, Galois action
 and inverse) and the normal form by Euclid over Q(zeta)[t], evaluation at
-q^(1/2) = t0, the per-prefix dilated lattice-point count, and the weighted
-inertia mass rebuilt from every class mass at each twist order r."""
+q^(1/2) = t0, the per-prefix dilated lattice-point count, the weighted
+inertia mass rebuilt from every class mass at each twist order r, and the
+weighted inertia series with the counting function from its fitted limit."""
 
 import cmath
 import functools
@@ -19,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from stacky_volumes.ehrhart import DeltaRegion, delta_count
-from stacky_volumes.lambdaring import CountingFunction, adams, log_conv, mobius
+from stacky_volumes.lambdaring import CountingFunction, VolumeElem, adams, log_conv, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid, _compositions, gl_order
-from stacky_volumes.ratfun import Series
+from stacky_volumes.ratfun import Series, fit_rational
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
     ExactScalar,
@@ -36,7 +37,7 @@ from stacky_volumes.scalar import (
     q_power,
     root_of_unity,
 )
-from stacky_volumes.stacky import _vect_dimension
+from stacky_volumes.stacky import _class_masses, _vect_dimension
 
 ZERO = Fraction(0)
 
@@ -635,7 +636,7 @@ def reference_weighted_inertia_coefficient(monoid, x, n: int, r: int,
                                            mode: str = "differences") -> ExactScalar:
     """The weighted inertia mass at twist order r, every class mass rebuilt
     for this r alone: the same scalar operations, in the same order, as each
-    coefficient of stacky.weighted_inertia_series."""
+    coefficient of weighted_inertia_series."""
     a = _vect_dimension(monoid, x)
     conv = monoid.conv
     if a == 0:
@@ -666,3 +667,42 @@ def reference_weighted_inertia_coefficient(monoid, x, n: int, r: int,
                 tuple_sum = tuple_sum + mass
             total = total + tuple_sum * Fraction(mu * sign * n_delta, m * s)
     return total * (q_power(n) - 1)
+
+
+def weighted_inertia_series(monoid, x, n: int, order: int,
+                            mode: str = "differences") -> Series:
+    """The weighted inertia masses at r = 1..order, the class masses built
+    once: each coefficient is weighted_inertia_coefficient's sum."""
+    masses = _class_masses(monoid, x, n)
+    out = []
+    for r in range(1, order + 1):
+        total = ExactScalar.zero()
+        for m, s, mu_sign, tuple_sum in masses:
+            n_delta = 0 if r % m else delta_count(DeltaRegion(m, s), r, mode)
+            if n_delta:
+                total = total + tuple_sum * Fraction(mu_sign * n_delta, m * s)
+        out.append(total * (q_power(n) - 1))
+    return Series(out)
+
+
+def fitted_bps_counting_function(monoid, x, level_bound: int, mode: str = "differences",
+                                 delta=None, big_d=None) -> VolumeElem:
+    """bps_counting_function by fitting the weighted inertia series as a
+    rational function and taking its limit at T -> infinity.  The ansatz
+    defaults to delta = lcm of the divisors of a and D = a + 1, which fits in
+    differences mode; orbits mode needs a wider one."""
+    a = _vect_dimension(monoid, x)
+    conv = monoid.conv
+    if a == 0:
+        return VolumeElem([0] * level_bound)
+    xx = monoid.euler_form((a,), (a,))
+    delta = delta or math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
+    big_d = big_d or a + 1
+    order = delta * big_d + delta + 2
+    sign = -((-1) ** ((conv.b2 * xx) % 2))
+    levels = []
+    for n in range(1, level_bound + 1):
+        series = weighted_inertia_series(monoid, (a,), n, order, mode)
+        lim = fit_rational(series, delta, big_d).limit_at_infinity()
+        levels.append(sign * half_l_power(-xx - 1, n, conv) * lim)
+    return VolumeElem(levels)

@@ -176,17 +176,39 @@ def test_schema_violation_bad_weight_shape(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_module_error_nonsplit_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"n": 1, "torusRank": 0, "finiteOrders": [2], "weights": [[1]], "q": 4}
-    ))
-    code = run(["volume", "--input", str(path)])
-    captured = capsys.readouterr()
+@pytest.mark.parametrize("params, message", [
+    ({"n": 1, "torusRank": 0, "finiteOrders": [2], "weights": [[1]], "q": 4},
+     "order 2 does not divide q - 1 = 3"),
+    ({"n": 1, "torusRank": 0, "finiteOrders": [4], "weights": [[1]], "q": 3},
+     "order 4 does not divide q - 1 = 2"),
+    # the stabilizer of every point contains -1 of the torus
+    ({"n": 2, "torusRank": 1, "weights": [[2, -2]], "q": 3},
+     "the generic point has a nontrivial stabilizer"),
+], ids=["order-2-at-q-4", "order-4-at-q-3", "weights-2-minus-2"])
+def test_volume_input_refusals_exit_2(tmp_path, capsys, params, message):
+    # decided from the input alone, before the fibre is enumerated
+    code, err = run_error(tmp_path, capsys, "volume", params)
+    assert code == 2
+    assert err["error"] == {"kind": "SchemaViolation", "message": message}
+
+
+@pytest.mark.parametrize("grade", [3, 4, 5])
+def test_plid_check_orbits_reports_residuals(tmp_path, grade):
+    # the fitted limit side found no rational fit here (NoRationalFit at T^13)
+    code, report = run_cli(["plid-check"], tmp_path,
+                           {"gradeBound": grade, "levelBound": 1, "q": 3, "mode": "orbits"})
+    assert code == 0
+    assert report["mode"] == "orbits" and report["identically_zero"] is False
+    assert [e["element"] for e in report["entries"]] == [[a] for a in range(1, grade + 1)]
+
+
+def test_value_past_the_float_range_exits_1(tmp_path, capsys):
+    # at gradeBound 1 and q = 2^31 - 1 the values leave the float range from
+    # level 34 on; the report used to end in a traceback
+    code, err = run_error(tmp_path, capsys, "plid-check",
+                          {"gradeBound": 1, "levelBound": 40, "q": 2**31 - 1})
     assert code == 1
-    err = json.loads(captured.out)
-    assert err["error"]["kind"] == "NonSplitFiniteGroup"
-    assert err["error"]["module"] == "stacky"
+    assert err["error"]["kind"] == "OverflowError"
 
 
 def test_compute_error_exits_1(tmp_path, capsys):
@@ -488,13 +510,14 @@ def test_bps_within_the_budget_runs(tmp_path):
 
 
 @pytest.mark.parametrize("command, params, budget", [
-    # without the budgets, each input below ran for 10.9 s (gradeBound 8) or
-    # was still running when killed at 20-30 s, except the 10^9 and 10^6 ones
+    # without the budgets, each input below ran for 7.0 s (gradeBound 13), 6.8 s
+    # (gradeBound 8 in orbits mode) or was still running when killed at 20-30 s,
+    # except the 10^9 and 10^6 ones
     ("delta", {"m": 1, "s": 40, "r": 24}, "delta budget of 3,000,000"),
     ("delta", {"max_m": 2, "max_s": 9, "max_r": 24}, "delta budget of 3,000,000"),
     ("delta", {"m": 1, "s": 3, "r": 3000000}, "delta budget of 3,000,000"),
     ("delta", {"max_m": 10**9, "max_s": 1}, "delta budget of 3,000,000"),
-    ("plid-check", {"gradeBound": 8, "levelBound": 1, "q": 3}, "plid-check budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 13, "levelBound": 1, "q": 3}, "plid-check budget of 3,000,000"),
     ("plid-check", {"gradeBound": 2, "levelBound": 400, "q": 3},
      "plid-check budget of 3,000,000"),
     ("plid-check", {"gradeBound": 10**9}, "plid-check budget of 3,000,000"),
@@ -507,6 +530,9 @@ def test_bps_within_the_budget_runs(tmp_path):
     ("volume", {"n": 12, "torusRank": 1, "finiteOrders": [], "weights": [[1] * 12], "q": 3},
      "volume budget of 3,000,000"),
     ("volume", {"n": 10**6, "torusRank": 0, "weights": [], "q": 2}, "volume budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 8, "levelBound": 1, "q": 3, "mode": "orbits"},
+     "plid-check budget of 3,000,000"),
+    ("plid-check", {"gradeBound": 1, "levelBound": 10**12}, "plid-check budget of 3,000,000"),
 ])
 def test_over_a_cost_budget_exits_2_within_a_second(tmp_path, capsys, command, params, budget):
     previous = signal.signal(signal.SIGALRM, _too_slow)
@@ -531,6 +557,9 @@ def test_over_a_cost_budget_exits_2_within_a_second(tmp_path, capsys, command, p
     ("volume", {"n": 2, "torusRank": 0, "finiteOrders": [6], "weights": [[1, 1]], "q": 7, "R": 8}),
     ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [2], "weights": [[1, -1], [1, 0]],
                 "q": 7, "R": 8}),
+    # refused while the limit side was a fitted series (0.8 s and 1.5 s then)
+    ("plid-check", {"gradeBound": 7, "levelBound": 1, "q": 3}),
+    ("plid-check", {"gradeBound": 8, "levelBound": 1, "q": 3}),
 ])
 def test_jobs_within_a_cost_budget_run(tmp_path, command, params):
     code, report = run_cli([command], tmp_path, params)
@@ -848,13 +877,18 @@ _NEAR_VALID = {
 }
 
 
+# the kinds README's exit-code paragraph lists as the ones that may exit 1
+_EXIT_1_KINDS = {"Unbounded", "EhrhartError", "InsufficientCoefficients", "NoRationalFit",
+                 "DegreePositive", "NotSymmetric", "NotAugmented", "OverflowError"}
+
+
 @settings(max_examples=120)
 @given(command=st.sampled_from(sorted(_NEAR_VALID)), data=st.data())
 def test_every_command_fuzz(tmp_path_factory, command, data):
     """Near-valid parameters for any command, and the same with one field
     replaced by a malformed or out-of-bound one, or removed: exit 0, 1 or 2
     within a second, one JSON object on stdout and nothing on stderr, and
-    every exit 1 names the module that failed."""
+    every exit 1 is of a kind README lists and names the module that failed."""
     params = _mutated(data.draw(_NEAR_VALID[command]), data)
     code, out, err = _run_within_a_second(
         tmp_path_factory.getbasetemp() / "command-fuzz.json", command, params)
@@ -862,4 +896,5 @@ def test_every_command_fuzz(tmp_path_factory, command, data):
     report = json.loads(out)
     assert isinstance(report, dict) and err == ""
     if code == 1:
-        assert "module" in report["error"], report
+        assert report["error"]["kind"] in _EXIT_1_KINDS, report
+        assert "module" in report["error"] or report["error"]["kind"] == "OverflowError", report

@@ -26,7 +26,7 @@ from stacky_volumes.ehrhart import (
     hull_hrep,
     positive_functional_exists,
 )
-from stacky_volumes.ratfun import Series, fit_rational
+from stacky_volumes.ratfun import NoRationalFit, Series, fit_rational
 from stacky_volumes.scalar import ExactScalar
 
 
@@ -371,6 +371,32 @@ def test_delta_ladder_last_rung_fits(mode):
             delta, big_d, order = delta_ladder(region)[-1]
             counts = Series([delta_count(region, r, mode) for r in range(1, order + 1)])
             fit_rational(counts, delta, big_d)
+
+
+@pytest.mark.parametrize("mode", ["differences", "orbits"])
+def test_delta_count_at_multiples_of_m(mode):
+    # Delta_{m,s}(mk) = Delta_{1,s}(k): the limit of the weighted inertia
+    # series is a sum of class masses times the limits of the regions (1, s)
+    for m in range(1, 5):
+        for s in range(1, 6):
+            for k in range(1, 31):
+                assert (delta_count(DeltaRegion(m, s), m * k, mode)
+                        == delta_count(DeltaRegion(1, s), k, mode))
+
+
+@pytest.mark.parametrize("mode, rung", [("differences", 0), ("orbits", 1)])
+def test_delta_limit_fits_on_the_rung_plid_check_charges(mode, rung):
+    # at m = 1 the differences count C(r - 1, s - 1) is a polynomial, and the
+    # necklace count has period s, which divides lcm(1..s)
+    for s in range(1, 7):
+        region = DeltaRegion(1, s)
+        for i, (delta, big_d, order) in enumerate(delta_ladder(region)[:rung + 1]):
+            counts = Series([delta_count(region, r, mode) for r in range(1, order + 1)])
+            if i < rung and s > 1:
+                with pytest.raises(NoRationalFit):
+                    fit_rational(counts, delta, big_d)
+            else:
+                fit_rational(counts, delta, big_d)
 
 
 def test_ehrhart_series_type():

@@ -8,9 +8,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    fitted_bps_counting_function,
     oracle_one_loop_omega,
     oracle_zero_arrow_omega,
     reference_weighted_inertia_coefficient,
+    weighted_inertia_series,
 )
 
 from stacky_volumes.lambdaring import pleth_log, pleth_sym
@@ -43,7 +45,6 @@ from stacky_volumes.stacky import (
     volume_series,
     weighted_inertia_coefficient,
     weighted_inertia_coefficient_bruteforce,
-    weighted_inertia_series,
 )
 
 
@@ -318,7 +319,7 @@ def test_weighted_inertia_series_matches_per_r_oracle(mode, bits):
     mon = LinearObjectsMonoid.vect(3, HalfLConvention(*bits))
     for a in range(1, 5):
         delta = math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
-        order = delta * (a + 1) + delta + 2  # the order bps_counting_function fits
+        order = delta * (a + 1) + delta + 2  # the order fitted_bps_counting_function fits
         for n in (1, 2):
             series = weighted_inertia_series(mon, (a,), n, order, mode)
             for r in range(1, order + 1):
@@ -357,6 +358,37 @@ def test_bps_counting_function_values():
     assert f1.levels == [ExactScalar.one()] * 3
     f2 = bps_counting_function(mon, (2,), 3)
     assert all(v.is_zero() for v in f2.levels)
+
+
+@pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_bps_counting_function_matches_the_fitted_limit(bits):
+    # the limit by linearity against the fit of the whole weighted inertia
+    # series, in its printed form, its JSON and every bit of eval_numeric
+    for q in (3, 5):
+        mon = LinearObjectsMonoid.vect(q, HalfLConvention(*bits))
+        for a in range(1, 6):
+            got = bps_counting_function(mon, (a,), 2).levels
+            want = fitted_bps_counting_function(mon, (a,), 2).levels
+            for x, y in zip(got, want, strict=True):
+                assert str(x) == str(y)
+                assert x.to_json() == y.to_json()
+                for q0 in (3, 5):
+                    assert x.eval_numeric(q0) == y.eval_numeric(q0)
+
+
+def test_bps_counting_function_orbits_matches_a_widened_fit():
+    # the orbit count of the region (m, s) has period lcm(1..s) in r/m, so the
+    # series of grade a fits on delta = lcm(1..a), D = a + 1, but from a = 3
+    # on not on the lcm of the divisors of a
+    mon = LinearObjectsMonoid.vect(3)
+    for a in range(1, 5):
+        got = bps_counting_function(mon, (a,), 2, "orbits").levels
+        want = fitted_bps_counting_function(mon, (a,), 2, "orbits",
+                                            math.lcm(*range(1, a + 1)), a + 1).levels
+        for x, y in zip(got, want, strict=True):
+            assert str(x) == str(y)
+            assert x.to_json() == y.to_json()
+            assert x.eval_numeric(3) == y.eval_numeric(3)
 
 
 def test_identity_residual_zero_differences():
