@@ -84,11 +84,14 @@ _PLID_BUDGET = 3 * 10**6
 # volume: 2 per fibre point, coordinate and group factor, then, per fibre
 # orbit and twist order r up to the larger of R and volume_fit's first
 # order, r^(k+l) candidate characters plus r^(k+1) prod gcd(d_i, r) twisted
-# points.  Admitted at the edge: the (1, -1) quotient at R = 143 (1.4 s),
-# torus rank 2 at R = 35 (2.0 s), torus and mu_2 at R = 105 (3.0 s).  Only
-# the first rung of volume_fit's ladder is charged; a torus row with a
-# nonzero sum (weights (1, -2), or all 1), whose series has no rational fit
-# and would climb the whole ladder, is refused before any fibre is enumerated.
+# points.  Admitted at the edge (q = 3): the (1, -1) quotient at R = 143
+# (0.26 s), torus rank 2 at R = 35 (0.5 s), torus and mu_2 at R = 105 (2.4 s,
+# mostly the candidate characters).  The twisted points are charged as if
+# each were divided by |Aut|, so a series now runs up to about 12x under its
+# charge.  Only the first rung of volume_fit's ladder is charged; a torus row
+# with a nonzero sum (weights (1, -2), or all 1), whose series has no
+# rational fit and would climb the whole ladder, is refused before any fibre
+# is enumerated.
 _VOLUME_BUDGET = 3 * 10**6
 # a decimal exponent past Python's int-string digit limit (4300) would make
 # Fraction build a number of that many digits
@@ -175,8 +178,11 @@ def _cmd_ehrhart(params):
         rhs = [_fraction(str(c)) for c in rhs]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaViolation(f"malformed rational in {key!r} or 'b': {exc}") from exc
-    poly = (eh.RationalPolytope.from_vertices(rows) if key == "vertices"
-            else eh.RationalPolytope(rows, rhs))
+    try:
+        poly = (eh.RationalPolytope.from_vertices(rows) if key == "vertices"
+                else eh.RationalPolytope(rows, rhs))
+    except eh.EhrhartError as exc:  # an unbounded body, or a hull of the wrong dimension
+        raise SchemaViolation(f"{key!r}: {exc}") from exc
     delta = poly.vertex_denominator_lcm() if not poly.is_empty else 1
     big_d = poly.dim + 1
     order = _int(params, "truncation", delta * big_d + delta + 2)
@@ -297,6 +303,9 @@ def _cmd_bps(params):
     conv = _parse_convention(params)
     _bps_preflight(vertices, sum(a[2] for a in arrows), gamma_bound, levels)
     quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
+    if not quiver.is_symmetric():
+        raise SchemaViolation("'arrows' must give a symmetric quiver, with as many arrows i -> j"
+                              " as j -> i")
     invariants = st.quiver_bps(quiver, q, gamma_bound, levels, conv)
     table = [{"gamma": list(gamma), "omega": [_scalar_report(v, q) for v in ve.levels]}
              for gamma, ve in sorted(invariants.items())]
@@ -425,6 +434,8 @@ def _cmd_plethystic(params):
             raise SchemaViolation(f"malformed value {entry['value']!r}: {exc}") from exc
         if lev <= budget:
             f.set(tuple(el), lev, value)
+    if any(not any(x) for x, _, _ in f.support()):
+        raise SchemaViolation("'values' must vanish at the zero element, as sym and log need")
     if op == "sym":
         result = lr.pleth_sym(f)
     else:

@@ -216,12 +216,6 @@ class GF:
         return [x for x in range(self.size) if self.pow(x, sub_size) == x]
 
 
-def _rep01(a: Fraction) -> Fraction:
-    """Representative of a in Q/Z inside (0, 1]; the trivial class maps to 1."""
-    r = a % 1
-    return r if r else Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # Toric quotient stack data and cyclotomic inertia.
 
@@ -355,11 +349,8 @@ class InertiaPoint:
         self._q = q
 
     def aut_order(self, n: int = 1) -> ExactScalar:
-        out = (q_power(n) - 1) ** self._free_rank
-        c = 1
-        for f in self._finite_factors:
-            c *= math.gcd(f, self._q**n - 1)
-        return out * c
+        return ((q_power(n) - 1) ** self._free_rank
+                * math.prod(math.gcd(f, self._q**n - 1) for f in self._finite_factors))
 
     def __repr__(self):
         return (
@@ -383,12 +374,11 @@ def _stab_homs(datum: ToricStackDatum, support: frozenset, r: int):
 
 
 def _twist_weight(datum: ToricStackDatum, psi, r: int) -> Fraction:
-    """Weight of the twisted sector of the character psi of mu_r."""
-    w = -Fraction(datum.k)
-    for j in range(datum.n):
-        c = sum(psi[row] * datum.weights[row][j] for row in range(datum.k + datum.l)) % r
-        w += _rep01(Fraction(c, r))
-    return w
+    """Weight of the twisted sector of the character psi of mu_r: the sum
+    over the columns of their characters' representatives in (0, 1], minus k."""
+    rows = range(datum.k + datum.l)
+    return Fraction(sum(sum(psi[i] * datum.weights[i][j] for i in rows) % r or r
+                        for j in range(datum.n)) - datum.k * r, r)
 
 
 def inertia_points(datum: ToricStackDatum, r: int):
@@ -396,18 +386,14 @@ def inertia_points(datum: ToricStackDatum, r: int):
     weights and automorphism orders."""
     if r < 1:
         raise ValueError("r must be positive")
-    out = []
-    stab_cache: dict[frozenset, tuple] = {}
-    homs_cache: dict[frozenset, list] = {}
+    out, cache = [], {}
     for rep, _, supp in datum.fiber_orbits():
-        if supp not in stab_cache:
-            stab_cache[supp] = datum._stab_invariants(supp)
-        free_rank, finite = stab_cache[supp]
-        if supp not in homs_cache:
-            homs_cache[supp] = _stab_homs(datum, supp, r)
-        for psi in homs_cache[supp]:
-            w = _twist_weight(datum, psi, r)
-            order = r // math.gcd(r, *([c for c in psi] or [0])) if any(psi) else 1
+        if supp not in cache:
+            sectors = [(psi, r // math.gcd(r, *psi) if any(psi) else 1,
+                        _twist_weight(datum, psi, r)) for psi in _stab_homs(datum, supp, r)]
+            cache[supp] = (*datum._stab_invariants(supp), sectors)
+        free_rank, finite, sectors = cache[supp]
+        for psi, order, w in sectors:
             out.append(InertiaPoint(rep, psi, order, w, free_rank, finite, datum.q))
     return out
 
@@ -416,13 +402,34 @@ def volume_series(datum: ToricStackDatum, order: int = 12) -> Series:
     """Generating series: coefficient of T^r is the weighted mass of the
     r-twisted points over the fibre, sum of q^{-w(y)} / |Aut(y)(F_q)|.
 
-    Coefficients are kept on the datum, so every r is computed once however
-    many prefixes are asked for."""
+    Orbits of one support share characters, weights and |Aut|, so the
+    support's Laurent sum of q^{-w} is divided by |Aut| once.  Terms keep
+    the order of the point-by-point sum (tests/helpers.py): a term with a
+    pole at q = 1 (a torus in Aut) leaves one in every later sum, all
+    coefficients being positive, so adding two such terms cancels a common
+    factor and sorts the terms however they were summed.  The origin's
+    orbit (first point, then the rest) and every later orbit with a pole
+    end on such an add; the Laurent points after the last are added one by
+    one.  Coefficients are kept on the datum, so every r is computed once
+    however many prefixes are asked for."""
     coeffs = datum._coefficients
     for r in range(len(coeffs) + 1, order + 1):
-        acc = ExactScalar.zero()
-        for pt in inertia_points(datum, r):
-            acc = acc + q_power(-pt.weight) / pt.aut_order(1)
+        orbits = [list(pts) for _, pts in
+                  itertools.groupby(inertia_points(datum, r), lambda pt: pt.rep)]
+        last = max((i for i, pts in enumerate(orbits) if pts[0]._free_rank), default=len(orbits))
+        acc, terms = ExactScalar.zero(), {}
+        for i, pts in enumerate(orbits):
+            aut, powers = pts[0].aut_order(1), [q_power(-pt.weight) for pt in pts]
+            if i > last:
+                for x in powers:
+                    acc = acc + x / aut
+            elif i == 0 and pts[0]._free_rank and len(powers) > 1:
+                acc = powers[0] / aut + sum(powers[1:], ExactScalar.zero()) / aut
+            else:
+                supp = frozenset(j for j, c in enumerate(pts[0].rep) if c)
+                if supp not in terms:
+                    terms[supp] = sum(powers, ExactScalar.zero()) / aut
+                acc = acc + terms[supp]
         coeffs.append(acc)
     return Series(coeffs[:order])
 
@@ -464,17 +471,12 @@ def dm_orbifold_sum(datum: ToricStackDatum) -> ExactScalar:
         free_rank, finite = datum._stab_invariants(supp)
         if free_rank:
             raise StackyError("fibre has a positive-dimensional stabilizer")
-        exponent = 1
-        for f in finite:
-            exponent = math.lcm(exponent, f)
+        exponent = math.lcm(1, *finite)
+        aut = math.prod(math.gcd(f, datum.q - 1) for f in finite)
         # homomorphisms from the full profinite cyclic group = Hom(A, Q/Z),
         # enumerated at the exponent of A
         for psi in _stab_homs(datum, supp, exponent):
-            w = _twist_weight(datum, psi, exponent)
-            aut = 1
-            for f in finite:
-                aut *= math.gcd(f, datum.q - 1)
-            acc = acc + q_power(-w) / aut
+            acc = acc + q_power(-_twist_weight(datum, psi, exponent)) / aut
     return acc
 
 
@@ -614,10 +616,8 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
             if d:
                 dims[c] = d
         assert sum(dims.values()) == a, "lift is not diagonalizable"
-        w = Fraction(0)
-        for c1, d1 in dims.items():
-            for c2, d2 in dims.items():
-                w -= d1 * d2 * _rep01(Fraction((c1 - c2) % r, r))
+        w = Fraction(-sum(d1 * d2 * ((c1 - c2) % r or r)
+                          for c1, d1 in dims.items() for c2, d2 in dims.items()), r)
         # gerbe class: sigma(h) h^{-1} is the scalar sigma(s)/s in mu_r
         t = field.mul(field.pow(s, qn), field.inv(s))
         c_alpha = next(c for c in range(r) if field.pow(zeta_r, c) == t)

@@ -8,8 +8,10 @@ the Taylor expansion of a rational-function fit, the dict view of a scalar
 dict-path scalar arithmetic (with its own cyclotomic product, Galois action
 and inverse) and the normal form by Euclid over Q(zeta)[t], evaluation at
 q^(1/2) = t0, the per-prefix dilated lattice-point count, the weighted
-inertia mass rebuilt from every class mass at each twist order r, and the
-weighted inertia series with the counting function from its fitted limit."""
+inertia mass rebuilt from every class mass at each twist order r, the
+weighted inertia series with the counting function from its fitted limit,
+and the toric volume series summed point by point with twist weights from
+representatives in (0, 1]."""
 
 import cmath
 import functools
@@ -37,7 +39,7 @@ from stacky_volumes.scalar import (
     q_power,
     root_of_unity,
 )
-from stacky_volumes.stacky import _class_masses, _vect_dimension
+from stacky_volumes.stacky import _class_masses, _vect_dimension, inertia_points
 
 ZERO = Fraction(0)
 
@@ -706,3 +708,33 @@ def fitted_bps_counting_function(monoid, x, level_bound: int, mode: str = "diffe
         lim = fit_rational(series, delta, big_d).limit_at_infinity()
         levels.append(sign * half_l_power(-xx - 1, n, conv) * lim)
     return VolumeElem(levels)
+
+
+def rep01(a: Fraction) -> Fraction:
+    """Representative of a in Q/Z inside (0, 1]; the trivial class maps to 1."""
+    r = a % 1
+    return r if r else Fraction(1)
+
+
+def reference_twist_weight(datum, psi, r: int) -> Fraction:
+    """The twist weight of the character psi of mu_r, column by column in
+    Fraction arithmetic: the oracle for `stacky._twist_weight`."""
+    w = -Fraction(datum.k)
+    for j in range(datum.n):
+        c = sum(psi[row] * datum.weights[row][j] for row in range(datum.k + datum.l)) % r
+        w += rep01(Fraction(c, r))
+    return w
+
+
+def reference_volume_series(datum, order: int) -> Series:
+    """The volume series summed point by point: q^{-w(y)} / |Aut(y)(F_q)|
+    divided and added once per inertia point y, in the order inertia_points
+    lists them; the oracle for `stacky.volume_series`, which divides once per
+    support."""
+    coeffs = []
+    for r in range(1, order + 1):
+        acc = ExactScalar.zero()
+        for pt in inertia_points(datum, r):
+            acc = acc + q_power(-pt.weight) / pt.aut_order(1)
+        coeffs.append(acc)
+    return Series(coeffs)

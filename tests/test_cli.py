@@ -213,14 +213,32 @@ def test_value_past_the_float_range_exits_1(tmp_path, capsys):
 
 def test_compute_error_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    # half-line: unbounded fiber polytope
-    path.write_text(json.dumps({"A": [["1"]], "b": ["0"]}))
+    # a count table too short for the Stanley fit of a segment
+    path.write_text(json.dumps({"vertices": [["0"], ["1"]], "truncation": 1}))
     code = run(["ehrhart", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     err = json.loads(captured.out)
-    assert err["error"]["kind"] == "Unbounded"
-    assert err["error"]["module"] == "ehrhart"
+    assert err["error"]["kind"] == "InsufficientCoefficients"
+    assert err["error"]["module"] == "ratfun"
+
+
+_ONE_AT_ZERO = [{"element": [0], "level": 1, "value": [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]}]
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("bps", {"vertices": 2, "arrows": [[0, 1, 1]], "q": 3}, "symmetric quiver"),
+    ("plethystic", {"op": "log", "grade": 2, "values": _ONE_AT_ZERO}, "zero element"),
+    ("plethystic", {"op": "sym", "grade": 2, "values": _ONE_AT_ZERO}, "zero element"),
+    ("ehrhart", {"A": [["1"]], "b": ["0"]}, "bounded region"),
+    ("ehrhart", {"vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}, "not full-dimensional"),
+])
+def test_input_decided_failures_exit_2(tmp_path, capsys, command, params, message):
+    # a non-symmetric quiver, a value at the zero element, an unbounded body
+    # and a flat hull are refused before any work, not reported as exit 1
+    code, err = run_error(tmp_path, capsys, command, params)
+    assert code == 2
+    assert err["error"]["kind"] == "SchemaViolation" and message in err["error"]["message"]
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -878,8 +896,7 @@ _NEAR_VALID = {
 
 
 # the kinds README's exit-code paragraph lists as the ones that may exit 1
-_EXIT_1_KINDS = {"Unbounded", "EhrhartError", "InsufficientCoefficients", "NoRationalFit",
-                 "DegreePositive", "NotSymmetric", "NotAugmented", "OverflowError"}
+_EXIT_1_KINDS = {"InsufficientCoefficients", "NoRationalFit", "DegreePositive", "OverflowError"}
 
 
 @settings(max_examples=120)

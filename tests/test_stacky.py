@@ -11,6 +11,8 @@ from helpers import (
     fitted_bps_counting_function,
     oracle_one_loop_omega,
     oracle_zero_arrow_omega,
+    reference_twist_weight,
+    reference_volume_series,
     reference_weighted_inertia_coefficient,
     weighted_inertia_series,
 )
@@ -32,6 +34,8 @@ from stacky_volumes.stacky import (
     _mat_pow,
     _projective_canon,
     _projective_classes,
+    _stab_homs,
+    _twist_weight,
     bps_counting_function,
     delta_report,
     dm_orbifold_sum,
@@ -42,6 +46,7 @@ from stacky_volumes.stacky import (
     smith_invariants,
     stacky_counting_function,
     volume_fit,
+    volume_ladder,
     volume_series,
     weighted_inertia_coefficient,
     weighted_inertia_coefficient_bruteforce,
@@ -501,10 +506,10 @@ def _too_slow(signum, frame):
 
 
 @st.composite
-def _admitted_volume_data(draw):
+def _admitted_volume_data(draw, qs=(2, 3, 4, 5, 7)):
     """Data the volume command admits: torus rows summing to 0, with entries
     in [-2, 2], and at most one mu_d with d | q - 1."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    q = draw(st.sampled_from(qs))
     n, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     rows = []
     for _ in range(k):
@@ -531,3 +536,55 @@ def test_admitted_volume_data_fit(datum):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# ---------------------------------------------------------------------------
+# The volume series against its point-by-point oracle.
+
+# the volume jobs of perfbench geometry, then mu_d on other weights, the
+# order-94 fit (5, -2, -3) and tori with finite factors
+_VOLUME_DATA = [
+    *[(1, 0, [2], [[1]], q) for q in (3, 5, 7, 9)],
+    (2, 0, [3], [[1, 1]], 4), (2, 0, [3], [[1, 1]], 7), (2, 0, [4], [[1, 1]], 5),
+    (2, 0, [6], [[1, 1]], 7),
+    *[(2, 1, [], [[1, -1]], q) for q in (3, 5, 7)],
+    *[(2, 1, [2], [[1, -1], [1, 0]], q) for q in (3, 5, 7)],
+    *[(3, 2, [], [[1, -1, 0], [0, 1, -1]], q) for q in (3, 5, 7)],
+    (2, 0, [3], [[1, 5]], 7), (2, 0, [6], [[1, 5]], 7), (2, 0, [4], [[1, 3]], 5),
+    (2, 0, [4], [[1, 5]], 5), (3, 1, [], [[5, -2, -3]], 3), (3, 1, [], [[1, 1, -2]], 3),
+    (2, 1, [3], [[1, -1], [1, 0]], 7), (3, 0, [2], [[1, 1, 1]], 3),
+]
+
+
+def _rendered(series, q0):
+    """Each coefficient's printed form, JSON, eval_numeric bits and integer
+    form with its term order, which every later result reads."""
+    return [(str(c), c.to_json(), c.eval_numeric(q0).real.hex(), c.eval_numeric(q0).imag.hex(),
+             c._n, [*c._num.items()], c._nd, [*c._den.items()], c._dd) for c in series.coeffs]
+
+
+@pytest.mark.parametrize("data", _VOLUME_DATA, ids=str)
+def test_volume_series_matches_point_by_point_sum(data):
+    """To the first fitted order, or 12: every coefficient is the point-by-
+    point sum in its printed form, its JSON, every bit of eval_numeric and
+    the term order of its integer form."""
+    datum = ToricStackDatum(*data)
+    order = max(12, volume_ladder(datum)[0][2])
+    assert _rendered(volume_series(datum, order), datum.q) == _rendered(
+        reference_volume_series(datum, order), datum.q)
+
+
+@settings(max_examples=80)
+@given(datum=_admitted_volume_data(qs=(3, 4, 5, 7, 9)))
+def test_volume_series_matches_point_by_point_sum_on_random_data(datum):
+    assert _rendered(volume_series(datum, 12), datum.q) == _rendered(
+        reference_volume_series(datum, 12), datum.q)
+
+
+def test_twist_weight_matches_column_by_column_sum():
+    for data in _VOLUME_DATA:
+        datum = ToricStackDatum(*data)
+        for supp in {supp for _, _, supp in datum.fiber_orbits()}:
+            for r in range(1, 13):
+                for psi in _stab_homs(datum, supp, r):
+                    assert _twist_weight(datum, psi, r) == reference_twist_weight(datum, psi, r)
