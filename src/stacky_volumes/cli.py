@@ -185,8 +185,11 @@ def _cmd_ehrhart(params):
         raise SchemaViolation(f"{key!r}: {exc}") from exc
     delta = poly.vertex_denominator_lcm() if not poly.is_empty else 1
     big_d = poly.dim + 1
-    order = _int(params, "truncation", delta * big_d + delta + 2)
+    need = rf.min_order(delta, big_d)
+    order = _int(params, "truncation", need)
     _ehrhart_preflight(poly, order)
+    if order < need and not poly.is_empty:
+        raise SchemaViolation(f"'truncation' {order} is below the {need} counts its fit needs")
     series = eh.ehrhart_series(poly, order)
     report = {
         "polytope": poly.to_json(),

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ratfun import Series, fit_first, fit_rational
+from .ratfun import Series, fit_first, fit_rational, min_order
 from .scalar import ExactScalar
 
 
@@ -417,8 +417,7 @@ def ehrhart_limit(polytope: RationalPolytope) -> ExactScalar:
         return ExactScalar.zero()
     delta = polytope.vertex_denominator_lcm()
     big_d = polytope.dim + 1
-    order = delta * big_d + delta + 2
-    fit = fit_rational(ehrhart_series(polytope, order), delta, big_d)
+    fit = fit_rational(ehrhart_series(polytope, min_order(delta, big_d)), delta, big_d)
     return fit.limit_at_infinity()
 
 
@@ -498,7 +497,7 @@ def delta_ladder(region: DeltaRegion) -> list:
     m, s = region.m, region.s
     lcm_s = math.lcm(*range(1, s + 1))
     ladder = [(m, s), (m * lcm_s, s), (m * lcm_s, s + 1)]
-    return [(delta, big_d, delta * big_d + delta + 2) for delta, big_d in ladder]
+    return [(delta, big_d, min_order(delta, big_d)) for delta, big_d in ladder]
 
 
 def delta_limit(region: DeltaRegion, mode: str = "differences") -> ExactScalar:

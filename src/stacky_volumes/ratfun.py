@@ -122,13 +122,18 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
+def min_order(delta: int, big_d: int) -> int:
+    """The fewest series coefficients fit_rational accepts for (delta, D)."""
+    return delta * big_d + delta + 2
+
+
 def fit_rational(series: Series, delta: int, big_d: int) -> RationalFunctionFit:
     """Fit series = g(T)/(1-T^delta)^D with deg g <= delta*D, verifying every
     coefficient of the given truncation."""
     if delta < 1 or big_d < 0:
         raise ValueError("need delta >= 1 and D >= 0")
     r_max = series.order
-    need = delta * big_d + delta + 2
+    need = min_order(delta, big_d)
     if r_max < need:
         raise InsufficientCoefficients(
             f"need at least {need} coefficients for delta={delta}, D={big_d}; got {r_max}"

@@ -132,10 +132,13 @@ class GF:
     Elements are integers 0..p^e-1, base-p digit encoding of polynomials over
     F_p modulo a monic primitive polynomial of degree e: the class of x
     generates the unit group (for e = 1 the modulus is x + c, and x = -c is a
-    primitive root).  `exp[k]` is the k-th power of that generator, doubled
-    to length 2(p^e - 1) so that sums of two logarithms need no reduction;
-    `log` inverts it on the nonzero elements; `zech[k]` = log(1 + g^k), None
-    where 1 + g^k = 0.  Every operation is a lookup in these three tables.
+    primitive root).  The modulus is the first primitive one, its lower
+    coefficients (constant term first) in product order; from degree 2 on, a
+    candidate with a root in F_p is reducible and skipped unwalked.  `exp[k]`
+    is the k-th power of the generator, doubled to length 2(p^e - 1) so that
+    sums of two logarithms need no reduction; `log` inverts it on the nonzero
+    elements; `zech[k]` = log(1 + g^k), None where 1 + g^k = 0.  Every
+    operation is a lookup in these three tables.
     """
 
     def __init__(self, p: int, e: int):
@@ -149,8 +152,12 @@ class GF:
         one = [1] + [0] * (e - 1)
         # The first modulus under which x has order p^e - 1: then every
         # nonzero class is a power of x, so the quotient ring is a field.
+        # From degree 2 on, a modulus with a root in F_p is reducible, hence
+        # not primitive, and is skipped before its powers of x are walked.
         for tail in itertools.product(range(p), repeat=e):
-            if not tail[0]:
+            if not tail[0] or e > 1 and any(
+                    (c**e + sum(t * c**i for i, t in enumerate(tail))) % p == 0
+                    for c in range(1, p)):
                 continue
             cycle = []
             cur = one
@@ -575,7 +582,9 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
     projective linear group over the level-n field.
 
     Requires r | q^n - 1 (so that mu_r is constant on the level-n field).
-    Returns (coefficient, list of BruteForceClass).
+    The group and its r-torsion classes are computed over the level-n field
+    (`_SubfieldMatrices`); each class's lift, eigenspaces and gerbe class
+    over the degree-n*r field.  Returns (coefficient, list of BruteForceClass).
     """
     a = _vect_dimension(monoid, x)
     conv = monoid.conv
@@ -590,29 +599,29 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
         raise BruteForceTooLarge(f"|PGL_{a}(F_{qn})| = {pgl_size}")
     field = GF(p, e0 * n * r)
     sub = field.subfield_elements(qn)
+    mats = _SubfieldMatrices(field, sub, a)
     zeta_r = field.pow(field.generator, (field.size - 1) // r)
     xx = monoid.euler_form((a,), (a,))
 
-    mats = _gl_matrices(field, sub, a)
-    proj = _projective_classes(field, mats)
-    torsion = []
-    for g in proj:
-        gr = _mat_pow(field, g, r)
-        if _is_scalar(field, gr):
-            torsion.append(g)
-    classes = _conjugacy_classes(field, proj, torsion)
-
+    group = mats.pgl()
+    # the r-torsion: each g whose r-th power is scalar, with that scalar
+    torsion = {g: sub[gr[0]] for g, _ in group if mats.is_scalar(gr := mats.pow(g, r))}
+    remaining = set(torsion)
     total = ExactScalar.zero()
     infos = []
-    for rep, size in classes:
-        c_scalar = _mat_pow(field, rep, r)[0][0]
-        s = next(t for t in range(field.size) if t and field.pow(t, r) == field.inv(c_scalar))
-        h = _mat_scale(field, rep, s)
+    while remaining:
+        g = min(remaining)
+        orbit = {mats.canon(mats.mul(mats.mul(z, g), z_inv)) for z, z_inv in group}
+        remaining -= orbit
+        rep = tuple(tuple(sub[c] for c in g[i:i + a]) for i in range(0, a * a, a))
+        s = next(t for t in range(1, field.size) if field.pow(t, r) == field.inv(torsion[g]))
+        h = [[field.mul(s, c) for c in row] for row in rep]
         # eigen-dimensions of the r-torsion lift
         dims = {}
         for c in range(r):
             lam = field.pow(zeta_r, c)
-            d = a - _row_reduce(field, _mat_sub_scalar(field, h, lam))[0]
+            d = a - _rank(field, [[field.sub(v, lam if i == j else 0) for j, v in enumerate(row)]
+                                  for i, row in enumerate(h)])
             if d:
                 dims[c] = d
         assert sum(dims.values()) == a, "lift is not diagonalizable"
@@ -627,132 +636,113 @@ def weighted_inertia_coefficient_bruteforce(monoid: LinearObjectsMonoid, x, n: i
         sign = (-1) ** ((conv.b1 * xx // (o_alpha * o_alpha)) % 2)
         # orbit-stabilizer: the centralizer is the stabilizer of rep under
         # conjugation, so |PGL| = |class| * |centralizer|
-        cent = len(proj) // size
-        mass = (
-            root_of_unity(alpha) * sign * q_power(-n * w) / cent
-        )
-        total = total + mass
+        cent = len(group) // len(orbit)
+        total = total + root_of_unity(alpha) * sign * q_power(-n * w) / cent
         infos.append(BruteForceClass(rep, alpha, o_alpha, w, cent, xx))
     return total, infos
 
 
-def _gl_matrices(field: GF, entries, a: int):
-    out = []
-    for flat in itertools.product(entries, repeat=a * a):
-        m = tuple(tuple(flat[i * a + j] for j in range(a)) for i in range(a))
-        if _row_reduce(field, m)[0] == a:
-            out.append(m)
-    return out
+class _Rows(dict):
+    """A table whose row i, build(i), is built on first use."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, i):
+        row = self[i] = self.build(i)
+        return row
 
 
-def _projective_classes(field: GF, mats):
-    seen = set()
-    out = []
-    for m in mats:
-        canon = _projective_canon(field, m)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+class _SubfieldMatrices:
+    """a x a matrices over the subfield `sub` (its elements, sorted) of a GF,
+    as flat row-major tuples of indices into `sub`, so index order is encoding
+    order and 0, 1 index 0, 1.  Entries are added and multiplied by table
+    rows built from the GF on first use (PGL_1 needs no |sub|^2 table)."""
+
+    def __init__(self, field: GF, sub, a: int):
+        index = {c: i for i, c in enumerate(sub)}
+        self.a = a
+        self.plus = _Rows(lambda i: [index[field.add(sub[i], d)] for d in sub])
+        self.times = _Rows(lambda i: [index[field.mul(sub[i], d)] for d in sub])
+        self.neg = [index[field.neg(c)] for c in sub]
+        self.inv = [index[field.inv(c)] if c else None for c in sub]
+        self.identity = tuple(int(i % (a + 1) == 0) for i in range(a * a))
+
+    def mul(self, x, y):
+        a, plus, times = self.a, self.plus, self.times
+        cols = [y[j::a] for j in range(a)]
+        out = []
+        for i in range(0, a * a, a):
+            row = x[i:i + a]
+            for col in cols:
+                acc = 0
+                for c, d in zip(row, col):
+                    acc = plus[acc][times[c][d]]
+                out.append(acc)
+        return tuple(out)
+
+    def pow(self, m, k: int):  # k >= 1
+        out = None
+        while k:
+            if k & 1:
+                out = m if out is None else self.mul(out, m)
+            k >>= 1
+            if k:
+                m = self.mul(m, m)
+        return out
+
+    def is_scalar(self, m) -> bool:
+        return m == tuple(m[0] if c else 0 for c in self.identity)
+
+    def canon(self, m):
+        """The multiple of m whose first nonzero entry is 1."""
+        scale = self.times[self.inv[next(c for c in m if c)]]
+        return tuple(scale[c] for c in m)
+
+    def inverse(self, m):
+        """m^-1 by Gauss-Jordan elimination, None when m is singular."""
+        a, plus, times = self.a, self.plus, self.times
+        rows = [list(m[i:i + a] + self.identity[i:i + a]) for i in range(0, a * a, a)]
+        for col in range(a):
+            piv = next((i for i in range(col, a) if rows[i][col]), None)
+            if piv is None:
+                return None
+            rows[col], rows[piv] = rows[piv], rows[col]
+            scale = times[self.inv[rows[col][col]]]
+            top = rows[col] = [scale[c] for c in rows[col]]
+            for i, row in enumerate(rows):
+                if i != col and row[col]:
+                    f = times[self.neg[row[col]]]
+                    rows[i] = [plus[c][f[d]] for c, d in zip(row, top)]
+        return tuple(c for row in rows for c in row[a:])
+
+    def pgl(self):
+        """PGL_a as pairs (g, g^-1): g runs over the invertible matrices whose
+        first nonzero entry is 1, the least element of each projective class,
+        in product order."""
+        cells = self.a * self.a
+        group = []
+        for lead in reversed(range(cells)):
+            for rest in itertools.product(range(len(self.neg)), repeat=cells - 1 - lead):
+                g = (0,) * lead + (1,) + rest
+                g_inv = self.inverse(g)
+                if g_inv is not None:
+                    group.append((g, g_inv))
+        return group
 
 
-def _projective_canon(field: GF, m):
-    flat = [c for row in m for c in row]
-    lead = next(c for c in flat if c)
-    inv = field.inv(lead)
-    return tuple(tuple(field.mul(inv, c) for c in row) for row in m)
-
-
-def _mat_mul(field: GF, x, y):
-    a = len(x)
-    return tuple(
-        tuple(
-            _field_sum(field, [field.mul(x[i][t], y[t][j]) for t in range(a)])
-            for j in range(a)
-        )
-        for i in range(a)
-    )
-
-
-def _field_sum(field: GF, xs):
-    out = 0
-    for x in xs:
-        out = field.add(out, x)
-    return out
-
-
-def _mat_pow(field: GF, m, k: int):
-    a = len(m)
-    out = tuple(tuple(1 if i == j else 0 for j in range(a)) for i in range(a))
-    base = m
-    while k:
-        if k & 1:
-            out = _mat_mul(field, out, base)
-        base = _mat_mul(field, base, base)
-        k >>= 1
-    return out
-
-def _mat_scale(field: GF, m, s):
-    return tuple(tuple(field.mul(s, c) for c in row) for row in m)
-
-
-def _is_scalar(field: GF, m) -> bool:
-    a = len(m)
-    d = m[0][0]
-    return all(m[i][j] == (d if i == j else 0) for i in range(a) for j in range(a))
-
-
-def _mat_sub_scalar(field: GF, m, lam):
-    a = len(m)
-    return tuple(
-        tuple(field.sub(m[i][j], lam if i == j else 0) for j in range(a)) for i in range(a)
-    )
-
-
-def _row_reduce(field: GF, m):
-    """Gauss-Jordan elimination: (rank, reduced row echelon form).  On an
-    invertible a x a matrix augmented by the identity, the right half of the
-    result is the inverse."""
-    rows = [list(r) for r in m]
-    a = len(rows)
-    cols = len(rows[0]) if rows else 0
+def _rank(field: GF, rows) -> int:
+    """The rank of a matrix over the field: the number of pivot rows that
+    Gaussian elimination takes out."""
     rank = 0
-    col = 0
-    while rank < a and col < cols:
-        piv = next((i for i in range(rank, a) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
-        for i in range(a):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank, rows
-
-
-def _conjugacy_classes(field: GF, group, subset):
-    a = len(group[0])
-    identity = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
-    inverses = []
-    for z in group:
-        _, reduced = _row_reduce(field, [list(r) + e for r, e in zip(z, identity)])
-        inverses.append(tuple(tuple(row[a:]) for row in reduced))
-    remaining = set(subset)
-    out = []
-    while remaining:
-        rep = min(remaining)
-        orbit = set()
-        for z, zi in zip(group, inverses):
-            conj = _projective_canon(field, _mat_mul(field, _mat_mul(field, z, rep), zi))
-            orbit.add(conj)
-        remaining -= orbit
-        out.append((rep, len(orbit)))
-    return out
+    for col in range(len(rows[0])):
+        piv = next((row for row in rows if row[col]), None)
+        if piv is not None:
+            inv = field.inv(piv[col])
+            rows = [[field.sub(c, field.mul(field.mul(inv, row[col]), d)) for c, d in zip(row, piv)]
+                    for row in rows if row is not piv]
+            rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the plethystic logarithm
 from the full convolution logarithm and by the ordered-tuple Moebius sum,
-the independent truncated Euler-product oracle for quiver BPS invariants,
+the independent truncated Euler-product oracle for quiver BPS invariants
+and Reineke's numerical DT invariants of the m-loop quiver,
 the Taylor expansion of a rational-function fit, the dict view of a scalar
 (CycNumber coefficients) and its conversion to the integer form, the
 dict-path scalar arithmetic (with its own cyclotomic product, Galois action
@@ -10,8 +11,11 @@ and inverse) and the normal form by Euclid over Q(zeta)[t], evaluation at
 q^(1/2) = t0, the per-prefix dilated lattice-point count, the weighted
 inertia mass rebuilt from every class mass at each twist order r, the
 weighted inertia series with the counting function from its fitted limit,
-and the toric volume series summed point by point with twist weights from
-representatives in (0, 1]."""
+the toric volume series summed point by point with twist weights from
+representatives in (0, 1], and the generic brute force over projective
+linear groups: the full-walk modulus search of GF, and PGL_a as the
+projective classes of every invertible matrix over the big field, with
+conjugacy classes from explicit inverses."""
 
 import cmath
 import functools
@@ -24,7 +28,7 @@ import numpy as np
 from stacky_volumes.ehrhart import DeltaRegion, delta_count
 from stacky_volumes.lambdaring import CountingFunction, VolumeElem, adams, log_conv, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid, _compositions, gl_order
-from stacky_volumes.ratfun import Series, fit_rational
+from stacky_volumes.ratfun import Series, fit_rational, min_order
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
     ExactScalar,
@@ -39,7 +43,13 @@ from stacky_volumes.scalar import (
     q_power,
     root_of_unity,
 )
-from stacky_volumes.stacky import _class_masses, _vect_dimension, inertia_points
+from stacky_volumes.stacky import (
+    GF,
+    BruteForceClass,
+    _class_masses,
+    _vect_dimension,
+    inertia_points,
+)
 
 ZERO = Fraction(0)
 
@@ -351,6 +361,24 @@ def oracle_one_loop_omega(a: int, level: int, conv=DEFAULT_CONVENTION) -> ExactS
     return acc * (half_l_level(level, conv) - half_l_power(-1, level, conv))
 
 
+def oracle_m_loop_dt(m: int, d: int) -> Fraction:
+    """Reineke's numerical DT invariant of the m-loop quiver in dimension d,
+    (1/d^2) sum_{e | d} mu(d/e) (-1)^((m-1)(d-e)) C(me - 1, e - 1)
+    (Reineke, arXiv:1102.3978), with its own Moebius function."""
+    def mu(k):
+        sign = 1
+        for p in range(2, k + 1):
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return Fraction(sum(mu(d // e) * (-1) ** ((m - 1) * (d - e)) * math.comb(m * e - 1, e - 1)
+                        for e in _divisors(d)), d * d)
+
+
 def expand(fit, order: int) -> Series:
     """Taylor coefficients of T^1..T^order of the fitted g(T) / (1 - T^delta)^D:
     the coefficient of U^j in (1 - U)^-D is C(j + D - 1, j)."""
@@ -573,8 +601,8 @@ def form_scalar(num: dict, den: dict | None = None) -> ExactScalar:
 
 
 def ev(x: ExactScalar, t0: int) -> ExactScalar:
-    """The image of x under the ring map q^(1/2) -> t0, an integer >= 2, as a
-    constant.  Raises ZeroDivisionError at a pole and ValueError when x has a
+    """The image of x under the ring map q^(1/2) -> t0, a positive integer, as
+    a constant.  Raises ZeroDivisionError at a pole and ValueError when x has a
     q-exponent outside (1/2)Z."""
     def sub(p: dict) -> CycNumber:
         acc = CycNumber()
@@ -700,7 +728,7 @@ def fitted_bps_counting_function(monoid, x, level_bound: int, mode: str = "diffe
     xx = monoid.euler_form((a,), (a,))
     delta = delta or math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
     big_d = big_d or a + 1
-    order = delta * big_d + delta + 2
+    order = min_order(delta, big_d)
     sign = -((-1) ** ((conv.b2 * xx) % 2))
     levels = []
     for n in range(1, level_bound + 1):
@@ -738,3 +766,178 @@ def reference_volume_series(datum, order: int) -> Series:
             acc = acc + q_power(-pt.weight) / pt.aut_order(1)
         coeffs.append(acc)
     return Series(coeffs)
+
+
+# -- the generic brute force: the oracle of GF's modulus search and of
+# -- weighted_inertia_coefficient_bruteforce ---------------------------------
+
+
+def full_walk_gf_tables(p: int, e: int):
+    """(exp, log, zech, generator) of F_{p^e} modulo the first modulus, its
+    lower coefficients in product order, under which x has order p^e - 1,
+    found by walking the powers of x for every candidate."""
+    size, order = p**e, p**e - 1
+    one = [1] + [0] * (e - 1)
+    for tail in itertools.product(range(p), repeat=e):
+        if not tail[0]:
+            continue
+        cycle = []
+        cur = one
+        while True:
+            cycle.append(cur)
+            top = cur[-1]
+            cur = [(c - top * t) % p for c, t in zip([0] + cur[:-1], tail)]
+            if cur == one:
+                break
+        if len(cycle) == order:
+            break
+    powers = [sum(d * p**i for i, d in enumerate(c)) for c in cycle]
+    log = [None] * size
+    for k, x in enumerate(powers):
+        log[x] = k
+    zech = [log[x - x % p + (x + 1) % p] for x in powers]
+    exp = powers + powers
+    return exp, log, zech, exp[1]
+
+
+def row_reduce(field, m):
+    """Gauss-Jordan elimination over the field: (rank, reduced row echelon
+    form).  On an invertible a x a matrix augmented by the identity, the
+    right half of the result is the inverse."""
+    rows = [list(r) for r in m]
+    a = len(rows)
+    cols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < a and col < cols:
+        piv = next((i for i in range(rank, a) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
+        for i in range(a):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank, rows
+
+
+def gl_matrices(field, entries, a: int):
+    """The invertible a x a matrices with the given entries, in product order."""
+    out = []
+    for flat in itertools.product(entries, repeat=a * a):
+        m = tuple(tuple(flat[i * a + j] for j in range(a)) for i in range(a))
+        if row_reduce(field, m)[0] == a:
+            out.append(m)
+    return out
+
+
+def projective_canon(field, m):
+    """The multiple of m whose first nonzero entry is 1."""
+    lead = next(c for row in m for c in row if c)
+    inv = field.inv(lead)
+    return tuple(tuple(field.mul(inv, c) for c in row) for row in m)
+
+
+def projective_classes(field, mats):
+    """The distinct projective_canon of the matrices, in first-seen order."""
+    seen = set()
+    out = []
+    for m in mats:
+        canon = projective_canon(field, m)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
+
+
+def field_sum(field, xs):
+    out = 0
+    for x in xs:
+        out = field.add(out, x)
+    return out
+
+
+def mat_mul(field, x, y):
+    a = len(x)
+    return tuple(tuple(field_sum(field, [field.mul(x[i][t], y[t][j]) for t in range(a)])
+                       for j in range(a)) for i in range(a))
+
+
+def mat_pow(field, m, k: int):
+    a = len(m)
+    out = tuple(tuple(1 if i == j else 0 for j in range(a)) for i in range(a))
+    while k:
+        if k & 1:
+            out = mat_mul(field, out, m)
+        m = mat_mul(field, m, m)
+        k >>= 1
+    return out
+
+
+def is_scalar_matrix(m) -> bool:
+    return all(c == (m[0][0] if i == j else 0) for i, row in enumerate(m) for j, c in enumerate(row))
+
+
+def conjugacy_classes(field, group, subset):
+    """The conjugacy classes of group met by subset, as (least element, size),
+    conjugating by every element of group with its inverse by Gauss-Jordan."""
+    a = len(group[0])
+    identity = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
+    inverses = []
+    for z in group:
+        _, reduced = row_reduce(field, [list(r) + e for r, e in zip(z, identity)])
+        inverses.append(tuple(tuple(row[a:]) for row in reduced))
+    remaining = set(subset)
+    out = []
+    while remaining:
+        rep = min(remaining)
+        orbit = {projective_canon(field, mat_mul(field, mat_mul(field, z, rep), zi))
+                 for z, zi in zip(group, inverses)}
+        remaining -= orbit
+        out.append((rep, len(orbit)))
+    return out
+
+
+def reference_weighted_inertia_coefficient_bruteforce(monoid, x, n: int, r: int):
+    """weighted_inertia_coefficient_bruteforce with every group operation in
+    the degree-n*r field: PGL_a(F_{q^n}) from all invertible matrices over the
+    subfield, its r-torsion and conjugacy classes by method calls on GF."""
+    a = _vect_dimension(monoid, x)
+    q, p, e0 = monoid.q, *factor(monoid.q)[0]
+    qn = q**n
+    if a == 0:
+        return ExactScalar.zero(), []
+    field = GF(p, e0 * n * r)
+    zeta_r = field.pow(field.generator, (field.size - 1) // r)
+    xx = monoid.euler_form((a,), (a,))
+    proj = projective_classes(field, gl_matrices(field, field.subfield_elements(qn), a))
+    torsion = [g for g in proj if is_scalar_matrix(mat_pow(field, g, r))]
+    total = ExactScalar.zero()
+    infos = []
+    for rep, size in conjugacy_classes(field, proj, torsion):
+        c_scalar = mat_pow(field, rep, r)[0][0]
+        s = next(t for t in range(field.size) if t and field.pow(t, r) == field.inv(c_scalar))
+        h = [[field.mul(s, c) for c in row] for row in rep]
+        dims = {}
+        for c in range(r):
+            lam = field.pow(zeta_r, c)
+            shifted = [[field.sub(v, lam if i == j else 0) for j, v in enumerate(row)]
+                       for i, row in enumerate(h)]
+            d = a - row_reduce(field, shifted)[0]
+            if d:
+                dims[c] = d
+        w = Fraction(-sum(d1 * d2 * ((c1 - c2) % r or r)
+                          for c1, d1 in dims.items() for c2, d2 in dims.items()), r)
+        t = field.mul(field.pow(s, qn), field.inv(s))
+        alpha = Fraction(next(c for c in range(r) if field.pow(zeta_r, c) == t), r) % 1
+        o_alpha = alpha.denominator if alpha else 1
+        sign = (-1) ** ((monoid.conv.b1 * xx // (o_alpha * o_alpha)) % 2)
+        cent = len(proj) // size
+        total = total + root_of_unity(alpha) * sign * q_power(-n * w) / cent
+        infos.append(BruteForceClass(rep, alpha, o_alpha, w, cent, xx))
+    return total, infos

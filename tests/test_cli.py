@@ -212,15 +212,29 @@ def test_value_past_the_float_range_exits_1(tmp_path, capsys):
 
 
 def test_compute_error_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    # a count table too short for the Stanley fit of a segment
-    path.write_text(json.dumps({"vertices": [["0"], ["1"]], "truncation": 1}))
-    code = run(["ehrhart", "--input", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    err = json.loads(captured.out)
-    assert err["error"]["kind"] == "InsufficientCoefficients"
-    assert err["error"]["module"] == "ratfun"
+    # only the computation decides that a value leaves the float range: at
+    # gradeBound 1 and q = 2^31 - 1 the first such level is 34, 33 still fits
+    for levels, want in ((33, 0), (34, 1)):
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"gradeBound": 1, "levelBound": levels, "q": 2**31 - 1}))
+        code = run(["plid-check", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == want
+        if want:
+            assert json.loads(captured.out)["error"]["kind"] == "OverflowError"
+
+
+@pytest.mark.parametrize("vertices, delta, big_d", [([["0"], ["1"]], 1, 2), ([["0"], ["1/2"]], 2, 2),
+                                                    ([["0", "0"], ["1", "0"], ["0", "1/3"]], 3, 3)])
+def test_ehrhart_truncation_below_the_fit_minimum_exits_2(tmp_path, capsys, vertices, delta, big_d):
+    # the (delta, D) fit needs delta * D + delta + 2 counts, known before any count
+    need = delta * big_d + delta + 2
+    code, err = run_error(tmp_path, capsys, "ehrhart", {"vertices": vertices, "truncation": need - 1})
+    assert code == 2 and err["error"]["kind"] == "SchemaViolation"
+    assert f"below the {need} counts" in err["error"]["message"]
+    code, report = run_cli(["ehrhart"], tmp_path, {"vertices": vertices, "truncation": need})
+    assert code == 0 and len(report["counts"]) == need
+    assert (report["fit"]["delta"], report["fit"]["D"]) == (delta, big_d)
 
 
 _ONE_AT_ZERO = [{"element": [0], "level": 1, "value": [{"zeta": "0", "qexp": "0", "coeff": ["1"]}]}]
@@ -896,7 +910,7 @@ _NEAR_VALID = {
 
 
 # the kinds README's exit-code paragraph lists as the ones that may exit 1
-_EXIT_1_KINDS = {"InsufficientCoefficients", "NoRationalFit", "DegreePositive", "OverflowError"}
+_EXIT_1_KINDS = {"NoRationalFit", "DegreePositive", "OverflowError"}
 
 
 @settings(max_examples=120)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import add_fiber, point, trace_fiber
+from helpers import add_fiber, gl_matrices, point, trace_fiber
 
 from stacky_volumes.monoids import (
     DiscreteLattice,
@@ -13,7 +13,7 @@ from stacky_volumes.monoids import (
     gl_order,
 )
 from stacky_volumes.scalar import q_power
-from stacky_volumes.stacky import GF, _gl_matrices
+from stacky_volumes.stacky import GF
 
 
 def test_affine_line_census():
@@ -90,7 +90,7 @@ def test_gl_order_closed_form_vs_enumeration():
     for q in (2, 3):
         field = GF(q, 1)
         for n in (1, 2, 3):
-            count = len(_gl_matrices(field, list(range(q)), n))
+            count = len(gl_matrices(field, list(range(q)), n))
             assert gl_order(n, 1).substitute_q(q).as_rational() == count
 
 

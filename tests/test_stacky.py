@@ -8,32 +8,38 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    conjugacy_classes,
+    ev,
     fitted_bps_counting_function,
+    full_walk_gf_tables,
+    gl_matrices,
+    is_scalar_matrix,
+    mat_mul,
+    mat_pow,
+    oracle_m_loop_dt,
     oracle_one_loop_omega,
     oracle_zero_arrow_omega,
+    projective_canon,
+    projective_classes,
     reference_twist_weight,
     reference_volume_series,
     reference_weighted_inertia_coefficient,
+    reference_weighted_inertia_coefficient_bruteforce,
     weighted_inertia_series,
 )
 
 from stacky_volumes.lambdaring import pleth_log, pleth_sym
 from stacky_volumes.monoids import LinearObjectsMonoid, Quiver
+from stacky_volumes.ratfun import min_order
 from stacky_volumes.scalar import ExactScalar, HalfLConvention, factor, half_l_level, q_power
 from stacky_volumes.stacky import (
     GF,
+    BruteForceClass,
     BruteForceTooLarge,
     NonSplitFiniteGroup,
     NotGenericallyRepresentable,
     ToricStackDatum,
     UnsupportedAutGroup,
-    _conjugacy_classes,
-    _gl_matrices,
-    _is_scalar,
-    _mat_mul,
-    _mat_pow,
-    _projective_canon,
-    _projective_classes,
     _stab_homs,
     _twist_weight,
     bps_counting_function,
@@ -103,6 +109,8 @@ SMALL_FIELDS = [(p, e) for p in range(2, 257) if all(p % d for d in range(2, p))
 @pytest.mark.parametrize("p, e", SMALL_FIELDS + [(2, 12)])
 def test_gf_is_a_field(p, e):
     f = GF(p, e)
+    # skipping the moduli with a root in F_p keeps the first primitive modulus
+    assert (f.exp, f.log, f.zech, f.generator) == full_walk_gf_tables(p, e)
     order = f.size - 1
     assert f.size == p**e
     # exp and log are inverse bijections between Z/(p^e - 1) and the units
@@ -324,7 +332,7 @@ def test_weighted_inertia_series_matches_per_r_oracle(mode, bits):
     mon = LinearObjectsMonoid.vect(3, HalfLConvention(*bits))
     for a in range(1, 5):
         delta = math.lcm(*[m for m in range(1, a + 1) if a % m == 0])
-        order = delta * (a + 1) + delta + 2  # the order fitted_bps_counting_function fits
+        order = min_order(delta, a + 1)  # the order fitted_bps_counting_function fits
         for n in (1, 2):
             series = weighted_inertia_series(mon, (a,), n, order, mode)
             for r in range(1, order + 1):
@@ -340,19 +348,41 @@ def test_weighted_inertia_series_matches_per_r_oracle(mode, bits):
 def test_bruteforce_class_equation(q, r):
     # PGL_2(F_q) inside the field the brute force builds for r-torsion
     field = GF(q, r)
-    proj = _projective_classes(field, _gl_matrices(field, field.subfield_elements(q), 2))
+    proj = projective_classes(field, gl_matrices(field, field.subfield_elements(q), 2))
     assert len(proj) == q * (q * q - 1)
-    torsion = [g for g in proj if _is_scalar(field, _mat_pow(field, g, r))]
-    classes = _conjugacy_classes(field, proj, torsion)
+    torsion = [g for g in proj if is_scalar_matrix(mat_pow(field, g, r))]
+    classes = conjugacy_classes(field, proj, torsion)
     assert sum(size for _, size in classes) == len(torsion)
     for rep, size in classes:
-        cent = sum(_projective_canon(field, _mat_mul(field, z, rep))
-                   == _projective_canon(field, _mat_mul(field, rep, z)) for z in proj)
+        cent = sum(projective_canon(field, mat_mul(field, z, rep))
+                   == projective_canon(field, mat_mul(field, rep, z)) for z in proj)
         assert size * cent == len(proj)
     _, infos = weighted_inertia_coefficient_bruteforce(LinearObjectsMonoid.vect(q), (2,), 1, r)
     assert sorted(c.centralizer_order for c in infos) == sorted(len(proj) // size
                                                                 for _, size in classes)
     assert sum(len(proj) // c.centralizer_order for c in infos) == len(torsion)
+
+
+# (q, n, r, a): a <= 2 with every twist order r | q^n - 1 whose degree-n*r
+# field fits the table cap up to q^n = 5, and one r above (the oracle's cost
+# grows as q^(4n)): the trivial twist at q = 9, r = 2 at level 2 over q = 3,
+# r = 3 at q = 7; and PGL_3(F_2)
+BRUTEFORCE_GRID = [(q, n, r, a) for q, n, rs in [(3, 1, (1, 2)), (4, 1, (1, 3)), (5, 1, (1, 2, 4)),
+                                                 (7, 1, (3,)), (9, 1, (1,)), (3, 2, (2,))]
+                   for r in rs for a in range(3)] + [(2, 1, 1, 3)]
+
+
+@pytest.mark.parametrize("q, n, r, a", BRUTEFORCE_GRID)
+def test_bruteforce_matches_the_generic_oracle(q, n, r, a):
+    # the subfield tables give the generic path's classes, in its order
+    mon = LinearObjectsMonoid.vect(q)
+    got, infos = weighted_inertia_coefficient_bruteforce(mon, (a,), n, r)
+    want, want_infos = reference_weighted_inertia_coefficient_bruteforce(mon, (a,), n, r)
+    assert str(got) == str(want)
+    assert got.to_json() == want.to_json()
+    slots = BruteForceClass.__slots__
+    assert ([[getattr(c, k) for k in slots] for c in infos]
+            == [[getattr(c, k) for k in slots] for c in want_infos])
 
 
 def test_bps_counting_function_values():
@@ -445,6 +475,28 @@ def test_quiver_bps_matches_euler_product_oracles():
             for n in (1, 2):
                 assert res0[(a,)].get(n) == oracle_zero_arrow_omega(a, n)
                 assert res1[(a,)].get(n) == oracle_one_loop_omega(a, n)
+
+
+# dimensions d <= bound per loop count m: 30 numerical DT invariants
+REINEKE_RANGES = {1: 6, 2: 9, 3: 6, 4: 5, 5: 4}
+
+
+@pytest.mark.parametrize("bits, changed", [((1, 1), 0), ((1, 0), 6)])
+def test_m_loop_bps_at_q_one_match_reineke(bits, changed):
+    # the refined invariants at q^(1/2) = 1, evaluated exactly, are Reineke's
+    # numerical DT invariants under the default sign bits; with the
+    # half-Lefschetz sign bit b2 flipped, 6 of the 30 values change (at m = 2,
+    # d = 3 to (q^7 + q^6 + q^5 + 2/3 q^4)/(q^2 + q + 1), 11/9 at q = 1)
+    got, want = [], []
+    for m, d_max in REINEKE_RANGES.items():
+        res = quiver_bps(Quiver(1, [(0, 0, m)]), 3, d_max, 1, HalfLConvention(*bits))
+        for d in range(1, d_max + 1):
+            got.append(ev(res[(d,)].get(1), 1).as_rational())
+            want.append(oracle_m_loop_dt(m, d))
+    assert len(got) == 30
+    assert sum(g != w for g, w in zip(got, want)) == changed
+    # the 1-loop and 2-loop values of the formula
+    assert want[:15] == [1, 0, 0, 0, 0, 0, 1, 1, 1, 2, 5, 13, 35, 100, 300]
 
 
 def test_quiver_bps_two_vertex_additivity():
