@@ -20,7 +20,8 @@ psi_m multiplies grade by m.  log_demand maps each such level to the largest
 of its caps, and pleth_log computes the convolution logarithm on those slots
 alone.  This is exact: f = F - 1 vanishes at zero and grade is additive, so
 a slot of grade c receives contributions from f^s with s <= c only, each the
-same pairs in the same order as under full truncation.
+same pairs in the same order as under full truncation.  Its loop starts at
+f^1 = f and adds each scaled power into the sum in place.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class CountingFunction:
                 yield x, n, v
 
     def restricted(self, grade_bound=None, level_bound=None) -> "CountingFunction":
-        gb = min(self.grade_bound, grade_bound or self.grade_bound)
-        nb = min(self.level_bound, level_bound or self.level_bound)
+        gb = self.grade_bound if grade_bound is None else min(self.grade_bound, grade_bound)
+        nb = self.level_bound if level_bound is None else min(self.level_bound, level_bound)
         out = CountingFunction(self.monoid, gb, nb)
         for x, n, v in self.support():
             if self.monoid.grade(x) <= gb and n <= nb:
@@ -321,18 +322,26 @@ def log_conv(big_f: CountingFunction, caps=None) -> CountingFunction:
     caps, a {level: grade cap} map, computes only the levels it names, each
     below its cap; without it every level runs to the grade bound.  The
     truncation is exact: f = F - 1 vanishes at zero and grade is additive, so
-    f^s has no support below grade s, and a level stops at power s = cap."""
+    f^s has no support below grade s, and a level stops at power s = cap.
+    The powers start at f within the caps, not at the unit convolved with f,
+    and each is scaled and added into the sum in place: the same additions
+    in the same order, so the forms of the values do not change."""
     _check_augmented_one(big_f)
     g, levels = big_f.grade_bound, big_f.level_bound
     if caps is None:
         caps = dict.fromkeys(range(1, levels + 1), g)
     f = big_f - CountingFunction.unit(big_f.monoid, g, levels)
-    out = CountingFunction(big_f.monoid, g, levels)
-    power = CountingFunction.unit(big_f.monoid, g, levels)
-    for s in range(1, max(caps.values(), default=0) + 1):
+    power = CountingFunction(big_f.monoid, g, levels)
+    for n in sorted(caps):
+        power.values[n] = {y: w for y, w in f.values.get(n, {}).items()
+                           if f.monoid.grade(y) <= caps[n]}
+    out = power.restricted()
+    for s in range(2, max(caps.values(), default=0) + 1):
         caps = {n: c for n, c in caps.items() if c >= s}
         power = convolve(power, f, caps)
-        out = out + power.scale(Fraction((-1) ** (s - 1), s))
+        c = ExactScalar.from_rational(Fraction((-1) ** (s - 1), s))
+        for x, n, v in power.support():
+            out._accumulate(x, n, v * c)
     return out
 
 

@@ -119,22 +119,32 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
     A geometric point is (orbit size d, orbit index, offset mod d); Frobenius
     shifts the offset.  Elements are finite multisets, stored as sorted
     tuples of ((d, i, o), multiplicity); the grading is the total size.
+    grade, add and fixed_elements are memoized, as the lambda-ring loops
+    repeat them.  The level-n atoms of a size-d orbit are the cosets
+    c + gcd(d, n)Z mod d, so levels with the same gcds share fixed elements.
     """
 
     def __init__(self, census: dict[int, int]):
         self.census = dict(sorted(census.items()))
+        self._grades, self._sums, self._fixed = {}, {}, {}
 
     def zero(self):
         return ()
 
     def grade(self, x):
-        return sum(mult for _, mult in x)
+        g = self._grades.get(x)
+        if g is None:
+            g = self._grades[x] = sum(mult for _, mult in x)
+        return g
 
     def add(self, x, y):
-        acc = dict(x)
-        for p, m in y:
-            acc[p] = acc.get(p, 0) + m
-        return tuple(sorted(acc.items()))
+        s = self._sums.get((x, y))
+        if s is None:
+            acc = dict(x)
+            for p, m in y:
+                acc[p] = acc.get(p, 0) + m
+            s = self._sums[x, y] = tuple(sorted(acc.items()))
+        return s
 
     def _frobenius_power(self, x, n):
         acc: dict = {}
@@ -162,19 +172,21 @@ class FreeOrbitMonoid(GradedGaloisMonoid):
         return out
 
     def fixed_elements(self, n, grade_bound):
-        atoms = self.atoms(n, grade_bound)
-        sizes = [self.grade(a) for a in atoms]
-        out = []
+        key = (tuple(math.gcd(d, n) for d in self.census), grade_bound)
+        if key not in self._fixed:
+            atoms = self.atoms(n, grade_bound)
+            sizes = [self.grade(a) for a in atoms]
+            out = []
 
-        def rec(idx, current, budget):
-            out.append(current)
-            for k in range(idx, len(atoms)):
-                if sizes[k] <= budget:
-                    rec(k, self.add(current, atoms[k]), budget - sizes[k])
+            def rec(idx, current, budget):
+                out.append(current)
+                for k in range(idx, len(atoms)):
+                    if sizes[k] <= budget:
+                        rec(k, self.add(current, atoms[k]), budget - sizes[k])
 
-        rec(0, (), grade_bound)
-        # deduplicate (atoms are disjoint, so no duplicates arise; keep sorted)
-        return sorted(set(out))
+            rec(0, (), grade_bound)
+            self._fixed[key] = sorted(out)  # atoms are disjoint: no duplicates
+        return list(self._fixed[key])
 
     def __eq__(self, other):
         return isinstance(other, FreeOrbitMonoid) and self.census == other.census

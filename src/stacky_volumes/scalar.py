@@ -459,6 +459,13 @@ class ExactScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for r, s in ((other, self), (self, other)):
+            if r._n == r._m == 1 == len(r._num) == len(r._den) == len(s._den) and 0 in r._num:
+                # rational p / d times a Laurent polynomial: the form built below
+                p, m = r._num[0], s._m
+                num = {e: {j: v * p for j, v in c.items()} if m > 1 else c * p
+                       for e, c in s._num.items()}
+                return _new(_laurent(s._n, m, num, s._nd * r._nd))
         n, m, an, ad, bn, bd = _lifted(self, other)
         ring = _ring(m)
         num, nd = _zz_mul(an, bn, ring), self._nd * other._nd

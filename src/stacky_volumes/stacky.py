@@ -126,6 +126,21 @@ def smith_invariants(cols, rows: int):
 _GF_TABLE_CAP = 4096
 
 
+def _x_power(k: int, tail, p: int) -> list[int]:
+    """x^k modulo x^e + tail(x) over F_p by squaring, the constant first."""
+    e, out = len(tail), [1] + [0] * (len(tail) - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * e)
+        for i, a in enumerate(out, bit == "1"):  # out^2, times x on a 1 bit
+            for j, b in enumerate(out, i):
+                sq[j] += a * b
+        for i in range(2 * e - 1, e - 1, -1):
+            for j, t in enumerate(tail, i - e):
+                sq[j] -= sq[i] % p * t
+        out = [c % p for c in sq[:e]]
+    return out
+
+
 class GF:
     """F_{p^e} by discrete logarithms (small fields only).
 
@@ -133,8 +148,8 @@ class GF:
     F_p modulo a monic primitive polynomial of degree e: the class of x
     generates the unit group (for e = 1 the modulus is x + c, and x = -c is a
     primitive root).  The modulus is the first primitive one, its lower
-    coefficients (constant term first) in product order; from degree 2 on, a
-    candidate with a root in F_p is reducible and skipped unwalked.  `exp[k]`
+    coefficients (constant term first) in product order, each candidate
+    tested by powers of x and only the chosen one walked.  `exp[k]`
     is the k-th power of the generator, doubled to length 2(p^e - 1) so that
     sums of two logarithms need no reduction; `log` inverts it on the nonzero
     elements; `zech[k]` = log(1 + g^k), None where 1 + g^k = 0.  Every
@@ -150,25 +165,21 @@ class GF:
         self.size = size
         order = size - 1
         one = [1] + [0] * (e - 1)
-        # The first modulus under which x has order p^e - 1: then every
-        # nonzero class is a power of x, so the quotient ring is a field.
-        # From degree 2 on, a modulus with a root in F_p is reducible, hence
-        # not primitive, and is skipped before its powers of x are walked.
+        # The first modulus under which x has order p^e - 1, so that every
+        # nonzero class is a power of x: x^order is 1 and no x^(order / l) is,
+        # l prime.  Cheaper tests skip most candidates first: a root in F_p
+        # (degree >= 2), or a norm x^(order / (p - 1)) = (-1)^e tail[0] that
+        # is no primitive root mod p.  Only the chosen modulus is walked.
         for tail in itertools.product(range(p), repeat=e):
-            if not tail[0] or e > 1 and any(
-                    (c**e + sum(t * c**i for i, t in enumerate(tail))) % p == 0
-                    for c in range(1, p)):
-                continue
-            cycle = []
-            cur = one
-            while True:
-                cycle.append(cur)
-                top = cur[-1]
-                cur = [(c - top * t) % p for c, t in zip([0] + cur[:-1], tail)]
-                if cur == one:
-                    break
-            if len(cycle) == order:
+            if tail[0] and all(pow((-1) ** e * tail[0], (p - 1) // l, p) != 1
+                               for l, _ in factor(p - 1)) and (e == 1 or all(
+                    (c**e + sum(t * c**i for i, t in enumerate(tail))) % p
+                    for c in range(1, p))) and _x_power(order, tail, p) == one and all(
+                    _x_power(order // l, tail, p) != one for l, _ in factor(order)):
                 break
+        cycle = [one]
+        for _ in range(order - 1):
+            cycle.append([(c - cycle[-1][-1] * t) % p for c, t in zip([0] + cycle[-1][:-1], tail)])
         powers = [sum(d * p**i for i, d in enumerate(c)) for c in cycle]
         self.exp = powers + powers
         self.log = [None] * size

@@ -1,7 +1,8 @@
 """Shared test utilities: random scalars, random counting functions, the
 brute-force addition and trace fibres that define convolution and Adams
-operations, the all-pairs reference convolution, the plethystic logarithm
-from the full convolution logarithm and by the ordered-tuple Moebius sum,
+operations, the all-pairs reference convolution, the convolution logarithm
+from the unit, the plethystic logarithm from the full convolution logarithm
+and by the ordered-tuple Moebius sum,
 the independent truncated Euler-product oracle for quiver BPS invariants
 and Reineke's numerical DT invariants of the m-loop quiver,
 the Taylor expansion of a rational-function fit, the dict view of a scalar
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from stacky_volumes.ehrhart import DeltaRegion, delta_count
-from stacky_volumes.lambdaring import CountingFunction, VolumeElem, adams, log_conv, mobius
+from stacky_volumes.lambdaring import CountingFunction, VolumeElem, adams, convolve, mobius
 from stacky_volumes.monoids import FreeOrbitMonoid, _compositions, gl_order
 from stacky_volumes.ratfun import Series, fit_rational, min_order
 from stacky_volumes.scalar import (
@@ -280,12 +281,31 @@ def moebius_sum(lg: CountingFunction, n_out: int) -> CountingFunction:
     return out
 
 
+def reference_log_conv(big_f: CountingFunction, caps=None) -> CountingFunction:
+    """The convolution logarithm by the loop that starts at the unit: power
+    s is the unit convolved with f = F - 1 s times, and each power is scaled
+    by (-1)^(s-1)/s and added to a fresh copy of the sum.  log_conv, which
+    starts at f and adds in place, must keep its forms, term order
+    included."""
+    g, levels = big_f.grade_bound, big_f.level_bound
+    if caps is None:
+        caps = dict.fromkeys(range(1, levels + 1), g)
+    f = big_f - CountingFunction.unit(big_f.monoid, g, levels)
+    out = CountingFunction(big_f.monoid, g, levels)
+    power = CountingFunction.unit(big_f.monoid, g, levels)
+    for s in range(1, max(caps.values(), default=0) + 1):
+        caps = {n: c for n, c in caps.items() if c >= s}
+        power = convolve(power, f, caps)
+        out = out + power.scale(Fraction((-1) ** (s - 1), s))
+    return out
+
+
 def reference_pleth_log(big_f: CountingFunction) -> CountingFunction:
-    """The plethystic logarithm from the convolution logarithm on every slot
-    within truncation, as pleth_log computed it before it kept only the
-    slots its Moebius sum reads: the oracle for values, support order and
-    term order."""
-    return moebius_sum(log_conv(big_f), big_f.level_bound // big_f.grade_bound)
+    """The plethystic logarithm from the unit-start convolution logarithm on
+    every slot within truncation, as pleth_log computed it before it kept
+    only the slots its Moebius sum reads: the oracle for values, support
+    order and term order."""
+    return moebius_sum(reference_log_conv(big_f), big_f.level_bound // big_f.grade_bound)
 
 
 def reference_log_direct(big_f: CountingFunction) -> CountingFunction:

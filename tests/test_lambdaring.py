@@ -15,6 +15,7 @@ from helpers import (
     random_scalar,
     reference_adams,
     reference_convolve,
+    reference_log_conv,
     reference_log_direct,
     reference_pleth_log,
     trace_fiber,
@@ -222,6 +223,28 @@ def test_pleth_log_matches_the_full_log_conv(name, seed, grade, levels):
     got, ref = pleth_log(big), reference_pleth_log(big)
     assert list(got.support()) == list(ref.support())
     assert _terms(got) == _terms(ref)
+
+
+@pytest.mark.parametrize("name", ["lattice-2", "vect", "free-orbit"])
+def test_log_conv_keeps_the_forms_of_the_unit_start(name):
+    """log_conv starts at f and adds each power into the sum in place; it
+    keeps the support order, keys and term order of the loop that starts at
+    the unit, with and without the caps pleth_log passes, in any key order.
+    On Vect the values are the stacky counts, rational functions of q."""
+    mon = _LOG_MONOIDS[name]
+    grade, levels = (3, 2) if name == "free-orbit" else (4, 2)
+    if name == "vect":
+        big = stacky_counting_function(mon, grade, grade * levels)
+    else:
+        big = _shuffled_function(mon, random.Random(31), grade, grade * levels)
+        for n in range(1, grade * levels + 1):
+            big.set(mon.zero(), n, 1)
+    assert any(not v.is_laurent() for _, _, v in big.support()) == (name == "vect")
+    caps = log_demand(grade, grade * levels)
+    for caps in (None, caps, dict(reversed(caps.items()))):
+        got, ref = log_conv(big, caps), reference_log_conv(big, caps)
+        assert list(got.support()) == list(ref.support())
+        assert _terms(got) == _terms(ref)
 
 
 @pytest.mark.parametrize("mon, grade, levels", [
@@ -483,6 +506,18 @@ def test_error_conditions():
 
     with pytest.raises(NotSigmaFinite):
         pushforward(NoFibers(), u)
+
+
+def test_restricted_to_zero_bounds():
+    """A zero bound cuts to zero, not to the function's own bound."""
+    lat = DiscreteLattice(1)
+    big = CountingFunction.unit(lat, 3, 2) + random_counting_function(lat, random.Random(5), 3, 2)
+    low = big.restricted(grade_bound=0)
+    assert low.grade_bound == 0 and low.level_bound == 2
+    assert [(x, n) for x, n, _ in low.support()] == [((0,), 1), ((0,), 2)]
+    none = big.restricted(level_bound=0)
+    assert none.level_bound == 0 and not list(none.support())
+    assert list(big.restricted().support()) == list(big.support())
 
 
 def test_truncation_bookkeeping():

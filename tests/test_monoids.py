@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from helpers import add_fiber, gl_matrices, point, trace_fiber
@@ -79,6 +81,21 @@ def test_free_orbit_monoid_laws():
         key = fo.add(x, x)
         assert key not in doubled
         doubled[key] = x
+
+
+def test_free_orbit_fixed_elements_memo_matches_a_fresh_enumeration():
+    """Levels with the same gcds against the census share one enumeration;
+    each call returns a fresh list, so mutating it leaves the memo intact."""
+    census = affine_line_census(2, 3)
+    fo = FreeOrbitMonoid(census)
+    for grade in (1, 2, 3):
+        for n in range(1, 2 * math.lcm(1, 2, 3) + 1):
+            fresh = FreeOrbitMonoid(census).fixed_elements(n, grade)
+            got = fo.fixed_elements(n, grade)
+            assert got == fresh, (n, grade)
+            assert all(fo.is_fixed(x, n) and fo.grade(x) <= grade for x in got)
+            got.clear()
+            assert fo.fixed_elements(n, grade) == fresh, (n, grade)
 
 
 def test_vect_decompositions_example():

@@ -507,6 +507,39 @@ def test_integer_form_matches_dict_path_mixed_conductors(op, k, data):
 
 
 @st.composite
+def _laurent_forms(draw, n, m):
+    """A Laurent polynomial at exponent denominator n and conductor m: random
+    integer coefficients on the basis roots of Q(zeta_m), over a random
+    integer denominator, in _laurent's normal form."""
+    basis = [j for j in range(m) if scalar._expansion(j, m) == ((j, 1),)]
+    num = {}
+    for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True)):
+        c = {j: draw(st.integers(-3, 3).filter(bool)) for j in draw(
+            st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))}
+        num[k] = c if m > 1 else c[0]
+    return scalar._new(scalar._laurent(n, m, num, draw(st.integers(1, 6))))
+
+
+def _form(x):
+    """The integer form of x with every key and basis term in its order."""
+    return (x._n, x._m, [(k, list(c.items()) if x._m > 1 else c) for k, c in x._num.items()],
+            x._nd, [(k, list(c.items()) if x._m > 1 else c) for k, c in x._den.items()], x._dd)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.sampled_from([1, 2]), m=st.sampled_from([1, 3, 4, 12]),
+       c=st.fractions(-5, 5, max_denominator=6))
+def test_rational_times_laurent_matches_the_lift_path(data, n, m, c):
+    """A rational constant times a Laurent polynomial, on either side, skips
+    the lift and the product of polynomials, and builds the form they build."""
+    x, r = data.draw(_laurent_forms(n, m)), ExactScalar.from_rational(c)
+    for a, b in ((r, x), (x, r)):
+        nn, mm, an, _, bn, _ = scalar._lifted(a, b)
+        want = scalar._laurent(nn, mm, scalar._zz_mul(an, bn, scalar._ring(mm)), a._nd * b._nd)
+        assert _form(a * b) == _form(scalar._new(want))
+
+
+@st.composite
 def _cyclotomic_fractions(draw):
     """A value over Q(zeta_m), m in 3, 4, 5, 12, in t = q^(1/n), n in 1, 2,
     whose denominator has a primitive m-th root of unity among its

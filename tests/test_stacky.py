@@ -106,7 +106,7 @@ SMALL_FIELDS = [(p, e) for p in range(2, 257) if all(p % d for d in range(2, p))
                 for e in range(1, 9) if p**e <= 256]
 
 
-@pytest.mark.parametrize("p, e", SMALL_FIELDS + [(2, 12)])
+@pytest.mark.parametrize("p, e", SMALL_FIELDS + [(2, 12), (7, 4)])
 def test_gf_is_a_field(p, e):
     f = GF(p, e)
     # skipping the moduli with a root in F_p keeps the first primitive modulus
