@@ -39,14 +39,14 @@ _DILATION_MIN = 2**10
 # bps: work of the plethystic logarithm on the slots it reads, charged per
 # level N with grade cap c (lambdaring.log_demand) as c * P(c)^2 pairs,
 # P(c) = C(c + vertices, vertices), times the exponent span
-# N * c^2 * (arrow count + 2) of a level-N value of grade c.  Without the
-# span, 10,000 loops at gammaBound 6 (2 levels) and gammaBound 1 at 5,000
-# levels were admitted and still running at 60 s.  Measured in process on
-# one core, the slowest jobs at the edge take 3.6 s (no arrows, gammaBound 1,
-# 1,224 levels) and 3.2 s (no arrows, gammaBound 19, 1 level), below the
-# 5.8 s of the 2-loop quiver at gammaBound 9, 2 levels when every level was
-# convolved to gammaBound (0.15 s now); the 2-loop quiver is admitted up to
-# gammaBound 16 at 1 level (1.3 s) and 13 at 2 levels (0.7 s).
+# N * c^2 * (arrow count + 2) of a level-N value of grade c; coherent bits
+# read level 1 only (_bps_preflight).  Without the span, 10,000 loops at
+# gammaBound 6 (2 levels) were admitted and still running at 60 s.  Measured
+# in process on one core, the slowest jobs at the edge take 3.9 s (no arrows,
+# gammaBound 19, 1 level) and 3.0 s (mixed bits, no arrows, gammaBound 1,
+# 1,224 levels); coherent bits admit 29,412 levels at gammaBound 1 (1.0 s)
+# and 5,555 for 3 arrowless vertices at gammaBound 2 (1.0 s).  The 2-loop
+# quiver is admitted up to gammaBound 16 at 1 level (1.7 s) and 13 at 2 (0.4 s).
 _BPS_BUDGET = 6 * 10**6
 # plethystic: three guards checked before any value becomes a scalar.  With
 # no values the operations cost about 35 us per slot of grade * levels
@@ -304,7 +304,7 @@ def _cmd_bps(params):
     gamma_bound = _int(params, ("gammaBound", "grade"), 4)
     levels = _int(params, "levels", 1)
     conv = _parse_convention(params)
-    _bps_preflight(vertices, sum(a[2] for a in arrows), gamma_bound, levels)
+    _bps_preflight(vertices, sum(a[2] for a in arrows), gamma_bound, levels, conv)
     quiver = mo.Quiver.from_json({"vertices": vertices, "arrows": arrows})
     if not quiver.is_symmetric():
         raise SchemaViolation("'arrows' must give a symmetric quiver, with as many arrows i -> j"
@@ -315,21 +315,25 @@ def _cmd_bps(params):
     return {"gamma_bound": gamma_bound, "levels": levels, "invariants": table}
 
 
-def _bps_preflight(vertices, arrow_count, gamma_bound, levels):
+def _bps_preflight(vertices, arrow_count, gamma_bound, levels, conv):
     """Refuse, before any value, a job whose plethystic logarithm costs more
     than _BPS_BUDGET: each level N it reads, with grade cap c, is charged
-    c * P(c)^2 pairs times the span N * c^2 * (arrow_count + 2)."""
+    c * P(c)^2 pairs times the span N * c^2 * (arrow_count + 2).  Coherent
+    bits read level 1 only; each value of a further level is charged its
+    span plus 100, for its substitution and report."""
     def charge(n, c):
         return c * math.comb(c + vertices, vertices) ** 2 * n * c * c * (arrow_count + 2)
 
-    # levels 1..levels alone have cap gammaBound, and P(gammaBound) exceeds
+    log_levels, span = 1 if conv.b1 == conv.b2 else levels, gamma_bound**2 * (arrow_count + 2)
+    # levels 1..log_levels alone have cap gammaBound, and P(gammaBound) exceeds
     # both gammaBound and vertices
     p = max(gamma_bound, vertices) + 1
-    work = gamma_bound**3 * p**2 * (arrow_count + 2) * levels * (levels + 1) // 2
+    work = gamma_bound * p**2 * span * log_levels * (log_levels + 1) // 2
     if work <= _BPS_BUDGET:
-        caps = lr.log_demand(gamma_bound, gamma_bound * levels)
+        caps = lr.log_demand(gamma_bound, gamma_bound * log_levels)
         work = sum(charge(n, c) for n, c in caps.items())
-    if work > _BPS_BUDGET:
+        p = math.comb(gamma_bound + vertices, vertices)
+    if work + p * (levels - log_levels) * (span + 100) > _BPS_BUDGET:
         raise SchemaViolation(
             f"the plethystic logarithm is over the bps budget of {_BPS_BUDGET:,};"
             f" use a smaller 'gammaBound', 'levels', 'vertices' or arrow count")

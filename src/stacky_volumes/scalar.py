@@ -673,10 +673,11 @@ class HalfLConvention:
     """Sign convention bits (b1, b2) for the square root of the Lefschetz class.
 
     The induced level sequence satisfies a_{mn} = (-1)^{b1 + b2*m} * a_n^m.
-    Taking m = 1 forces b1 = b2, so only (0,0) and (1,1) are coherent for all
-    m; mixed bits are accepted but satisfy the relation for m >= 2 only.
-    Default (1,1) gives a_n = (-1)^(n+1) * q^(n/2), the convention under which
-    all higher symmetric powers of the square root vanish.
+    Taking m = 1 forces b1 = b2: (0,0) and (1,1) are Adams-coherent, and
+    quiver_bps builds their levels n >= 2 by half_l_adams.  Mixed bits hold
+    it for m >= 2 only.  Default (1,1) gives a_n = (-1)^(n+1) * q^(n/2): all
+    higher symmetric powers of the square root vanish, and it alone gives
+    integral BPS invariants (README, "Half-Lefschetz sign bits").
     """
 
     b1: int = 1
@@ -697,10 +698,26 @@ def half_l_level(n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactSca
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    sign = -1 if n > 1 and (conv.b1 + conv.b2 * n) % 2 else 1
-    return q_power(Fraction(n, 2)) * sign
+    return q_power(Fraction(n, 2)) * _half_l_sign(n, conv)
+
+
+def _half_l_sign(n: int, conv: HalfLConvention) -> int:
+    return -1 if n > 1 and (conv.b1 + conv.b2 * n) % 2 else 1
 
 
 def half_l_power(j: int, n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactScalar:
     """(half Lefschetz class)^j at level n, j any integer."""
     return half_l_level(n, conv) ** j
+
+
+def half_l_adams(x: ExactScalar, n: int, conv: HalfLConvention = DEFAULT_CONVENTION) -> ExactScalar:
+    """The Adams image psi_n(x): q^(1/2) sent to half_l_level(n, conv) in x, a
+    rational function of q^(1/2) over Q.  It maps each term to one term in
+    the same place and, as an injective ring map, keeps num and den coprime:
+    the form stays normal, term order included."""
+    a, s = x._n, _half_l_sign(n, conv)
+    if x._m > 1 or any(2 * k % a for p in (x._num, x._den) for k in p):
+        raise ValueError(f"not a rational function of q^(1/2) over Q: {x}")
+    num, den = ({k * n: -c if s < 0 and 2 * k // a % 2 else c for k, c in p.items()}
+                for p in (x._num, x._den))
+    return _new((a, 1, num, x._nd, den, x._dd))

@@ -33,6 +33,7 @@ from .scalar import (
     ExactScalar,
     HalfLConvention,
     factor,
+    half_l_adams,
     half_l_power,
     q_power,
     root_of_unity,
@@ -859,9 +860,13 @@ def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
     """Extract refined BPS invariants of a symmetric quiver: apply the
     plethystic logarithm to the stacky counting function and multiply by the
     difference of half-Lefschetz powers.  Returns {dimension vector:
-    VolumeElem of its level-truncated invariants}."""
+    VolumeElem of its level-truncated invariants}.  The counts have level n
+    = psi_n(level 1) and Adams operations commute with Log, so coherent bits
+    (b1 = b2) run the logarithm at level 1 only and take level n by
+    half_l_adams; mixed bits, where psi_m psi_n != psi_mn, run every level."""
     monoid = LinearObjectsMonoid(quiver, q, conv)
-    budget = gamma_bound * level_bound
+    levels = 1 if conv.b1 == conv.b2 else level_bound
+    budget = gamma_bound * levels
     shifted = stacky_counting_function(monoid, gamma_bound, budget,
                                        log_demand(gamma_bound, budget))
     lg = pleth_log(shifted)
@@ -869,11 +874,10 @@ def quiver_bps(quiver: Quiver, q: int, gamma_bound: int, level_bound: int,
     for gamma in monoid.fixed_elements(1, gamma_bound):
         if sum(gamma) == 0:
             continue
-        levels = []
-        for n in range(1, level_bound + 1):
-            denom = half_l_power(1, n, conv) - half_l_power(-1, n, conv)
-            levels.append(lg.value(gamma, n) * denom)
-        out[gamma] = VolumeElem(levels)
+        values = [lg.value(gamma, n) * (half_l_power(1, n, conv) - half_l_power(-1, n, conv))
+                  for n in range(1, levels + 1)]
+        values += [half_l_adams(values[0], n, conv) for n in range(levels + 1, level_bound + 1)]
+        out[gamma] = VolumeElem(values)
     return out
 
 

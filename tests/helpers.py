@@ -3,8 +3,9 @@ brute-force addition and trace fibres that define convolution and Adams
 operations, the all-pairs reference convolution, the convolution logarithm
 from the unit, the plethystic logarithm from the full convolution logarithm
 and by the ordered-tuple Moebius sum,
-the independent truncated Euler-product oracle for quiver BPS invariants
-and Reineke's numerical DT invariants of the m-loop quiver,
+the independent truncated Euler-product oracle for quiver BPS invariants,
+quiver BPS invariants with the logarithm run at every level, Reineke's
+numerical DT invariants of the m-loop quiver,
 the Taylor expansion of a rational-function fit, the dict view of a scalar
 (CycNumber coefficients) and its conversion to the integer form, the
 dict-path scalar arithmetic (with its own cyclotomic product, Galois action
@@ -27,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from stacky_volumes.ehrhart import DeltaRegion, delta_count
-from stacky_volumes.lambdaring import CountingFunction, VolumeElem, adams, convolve, mobius
-from stacky_volumes.monoids import FreeOrbitMonoid, _compositions, gl_order
+from stacky_volumes.lambdaring import (CountingFunction, VolumeElem, adams, convolve, log_demand,
+                                      mobius, pleth_log)
+from stacky_volumes.monoids import FreeOrbitMonoid, LinearObjectsMonoid, _compositions, gl_order
 from stacky_volumes.ratfun import Series, fit_rational, min_order
 from stacky_volumes.scalar import (
     DEFAULT_CONVENTION,
@@ -50,6 +52,7 @@ from stacky_volumes.stacky import (
     _class_masses,
     _vect_dimension,
     inertia_points,
+    stacky_counting_function,
 )
 
 ZERO = Fraction(0)
@@ -379,6 +382,29 @@ def oracle_one_loop_omega(a: int, level: int, conv=DEFAULT_CONVENTION) -> ExactS
         term = q_power(a * level) / (q_power(a * level) - 1)
         acc = acc + term * Fraction(mobius(m), a)
     return acc * (half_l_level(level, conv) - half_l_power(-1, level, conv))
+
+
+def reference_quiver_bps(quiver, q: int, gamma_bound: int, level_bound: int,
+                         conv=DEFAULT_CONVENTION) -> dict:
+    """quiver_bps with the plethystic logarithm run on every level up to
+    level_bound, at budget gamma_bound * level_bound, for any bits: the path
+    that mixed bits still take in src, and the oracle of the Adams
+    substitution that coherent bits take."""
+    monoid = LinearObjectsMonoid(quiver, q, conv)
+    budget = gamma_bound * level_bound
+    shifted = stacky_counting_function(monoid, gamma_bound, budget,
+                                       log_demand(gamma_bound, budget))
+    lg = pleth_log(shifted)
+    out = {}
+    for gamma in monoid.fixed_elements(1, gamma_bound):
+        if sum(gamma) == 0:
+            continue
+        levels = []
+        for n in range(1, level_bound + 1):
+            denom = half_l_power(1, n, conv) - half_l_power(-1, n, conv)
+            levels.append(lg.value(gamma, n) * denom)
+        out[gamma] = VolumeElem(levels)
+    return out
 
 
 def oracle_m_loop_dt(m: int, d: int) -> Fraction:

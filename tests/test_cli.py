@@ -304,6 +304,22 @@ def test_determinism_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_import_loads_only_stdlib_numpy_and_the_package():
+    """Importing the CLI loads, beyond a bare interpreter's modules, only the
+    standard library, numpy and stacky_volumes: no other package can add to
+    the start-up time of every command."""
+    import_root = str(Path(stacky_volumes.__file__).resolve().parents[1])
+    script = ("import json, sys; before = set(sys.modules); import stacky_volumes.cli; "
+              "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert {"numpy", "stacky_volumes"} <= set(loaded)
+    assert [m for m in loaded if m not in sys.stdlib_module_names
+            and m not in ("numpy", "stacky_volumes")] == []
+
+
 def test_tsv_format(tmp_path):
     job = {"vertices": [["0"], ["1"]]}
     path = tmp_path / "in.json"
@@ -481,7 +497,8 @@ def test_ehrhart_over_a_limit_exits_2_within_a_second(tmp_path, capsys, params, 
     # each was still running after 60 s when the budget charged neither the
     # arrow count nor the level of a value
     {"vertices": 1, "arrows": [[0, 0, 10000]], "q": 2, "gammaBound": 6, "levels": 2},
-    {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 5000},
+    # mixed bits run the logarithm at every level (coherent bits are admitted)
+    {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 5000, "half_l": "1,0"},
     {"vertices": 1, "arrows": [[0, 0, 10**9]], "q": 2, "gammaBound": 1},
     {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 10**9},
 ])
@@ -496,6 +513,24 @@ def test_bps_over_budget_exits_2_within_a_second(tmp_path, capsys, params):
     assert code == 2
     assert err["error"]["kind"] == "SchemaViolation"
     assert "bps budget of 6,000,000" in err["error"]["message"]
+
+
+def test_bps_many_levels_by_adams_run_within_a_second(tmp_path):
+    """Coherent bits run the logarithm at level 1 only and substitute into
+    every further level: 5,000 levels at gammaBound 1, refused while each
+    level ran the logarithm, take about 0.1 s."""
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, report = run_cli(["bps"], tmp_path,
+                               {"vertices": 1, "q": 2, "gammaBound": 1, "levels": 5000})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    (row,) = report["invariants"]
+    assert row["gamma"] == [1] and len(row["omega"]) == 5000
+    assert {r["display"] for r in row["omega"]} == {"1"}
 
 
 @pytest.mark.parametrize("weights, R, row_sum", [

@@ -16,6 +16,7 @@ from stacky_volumes.scalar import (
     ExactScalar,
     HalfLConvention,
     format_rat,
+    half_l_adams,
     half_l_level,
     q_power,
     root_of_unity,
@@ -173,6 +174,24 @@ def test_half_l_square_is_lefschetz_any_bits():
             conv = HalfLConvention(b1, b2)
             for n in range(1, 7):
                 assert half_l_level(n, conv) ** 2 == q_power(n)
+
+
+@pytest.mark.parametrize("bits", [(1, 1), (0, 0), (1, 0), (0, 1)])
+def test_half_l_adams_substitutes_the_level_n_half_lefschetz(bits):
+    """psi_n is the ring map q^(1/2) -> half_l_level(n), on the numerator and
+    the denominator alike, and keeps the form's term order."""
+    conv = HalfLConvention(*bits)
+    t = q_power(F(1, 2))
+    x = (t**3 * 2 - 1 + t * F(1, 3)) / (t * 3 + t**4 - 5)
+    for n in range(1, 5):
+        h = half_l_level(n, conv)
+        assert half_l_adams(t, n, conv) == h
+        y = half_l_adams(x, n, conv)
+        assert y == (h**3 * 2 - 1 + h * F(1, 3)) / (h * 3 + h**4 - 5)
+        assert [k // n for k in y._num] == list(x._num)
+    for bad in (q_power(F(1, 3)), root_of_unity(F(1, 3)) * t):
+        with pytest.raises(ValueError):
+            half_l_adams(bad, 2, conv)
 
 
 def test_convention_bit_validation():

@@ -21,6 +21,7 @@ from helpers import (
     oracle_zero_arrow_omega,
     projective_canon,
     projective_classes,
+    reference_quiver_bps,
     reference_twist_weight,
     reference_volume_series,
     reference_weighted_inertia_coefficient,
@@ -31,7 +32,9 @@ from helpers import (
 from stacky_volumes.lambdaring import pleth_log, pleth_sym
 from stacky_volumes.monoids import LinearObjectsMonoid, Quiver
 from stacky_volumes.ratfun import min_order
-from stacky_volumes.scalar import ExactScalar, HalfLConvention, factor, half_l_level, q_power
+from stacky_volumes import stacky
+from stacky_volumes.scalar import (ExactScalar, HalfLConvention, factor, half_l_adams, half_l_level,
+                                   q_power)
 from stacky_volumes.stacky import (
     GF,
     BruteForceClass,
@@ -525,6 +528,106 @@ def test_two_loop_known_small_values():
     assert res[(1,)].get(1) == q_power(1)
     assert res[(2,)].get(1) == q_power(F(5, 2))
     assert res[(3,)].get(1) == q_power(5)
+
+
+@st.composite
+def _symmetric_quivers(draw):
+    """A symmetric quiver on at most 3 vertices: at most 3 loops at each
+    vertex and at most 2 arrows each way between two of them."""
+    vertices = draw(st.integers(1, 3))
+    arrows = [(i, i, draw(st.integers(0, 3))) for i in range(vertices)]
+    for i in range(vertices):
+        for j in range(i + 1, vertices):
+            c = draw(st.integers(0, 2))
+            arrows += [(i, j, c), (j, i, c)]
+    return Quiver(vertices, arrows)
+
+
+def _bits_of(x: ExactScalar):
+    z = x.eval_numeric(3)
+    return str(x), x.to_json(), z.real.hex(), z.imag.hex()
+
+
+def _same_invariants(got: dict, want: dict):
+    assert list(got) == list(want)
+    for gamma, ve in want.items():
+        assert [_bits_of(v) for v in got[gamma].levels] == [_bits_of(v) for v in ve.levels], gamma
+
+
+# the largest grade bound per vertex count that keeps an example under 50 ms
+_BPS_GRADES = {1: 6, 2: 3, 3: 2}
+
+
+@settings(max_examples=25)
+@given(quiver=_symmetric_quivers(), bits=st.sampled_from([(1, 1), (0, 0)]),
+       levels=st.integers(2, 3), data=st.data())
+def test_quiver_bps_by_adams_matches_every_level_logarithm(quiver, bits, levels, data):
+    """Under coherent bits the invariants of levels >= 2 are the Adams
+    images of level 1: equal to the logarithm run at every level in str,
+    to_json and eval_numeric bits."""
+    gamma_bound = data.draw(st.integers(1, _BPS_GRADES[quiver.vertices]))
+    conv = HalfLConvention(*bits)
+    _same_invariants(quiver_bps(quiver, 3, gamma_bound, levels, conv),
+                     reference_quiver_bps(quiver, 3, gamma_bound, levels, conv))
+
+
+def test_mixed_bits_take_the_every_level_path(monkeypatch):
+    """(1, 0) and (0, 1) run the logarithm at every level, where the Adams
+    substitution would be wrong; the default bits substitute every value
+    of levels 2 and 3."""
+    calls = []
+
+    def counted(x, n, conv):
+        calls.append(n)
+        return half_l_adams(x, n, conv)
+
+    monkeypatch.setattr(stacky, "half_l_adams", counted)
+    quiver = Quiver(1, [(0, 0, 2)])
+    for bits in ((1, 0), (0, 1)):
+        conv = HalfLConvention(*bits)
+        got = quiver_bps(quiver, 3, 4, 3, conv)
+        _same_invariants(got, reference_quiver_bps(quiver, 3, 4, 3, conv))
+        assert any(half_l_adams(ve.get(1), n, conv) != ve.get(n)
+                   for ve in got.values() for n in (2, 3)), bits
+    assert calls == []
+    quiver_bps(quiver, 3, 4, 3)
+    assert calls == [2, 3] * 4
+
+
+def _integral(x: ExactScalar) -> bool:
+    """Whether x is a Laurent polynomial in q^(1/2) with integer coefficients."""
+    return x.is_laurent() and all((2 * e).denominator == 1 and c.is_rational()
+                                  and c.as_rational().denominator == 1
+                                  for e, c in x.num.items())
+
+
+@settings(max_examples=25)
+@given(quiver=_symmetric_quivers(), data=st.data())
+def test_default_bits_give_integral_bps_invariants(quiver, data):
+    """Under the default bits every invariant at every level is a Laurent
+    polynomial in q^(1/2) over Z (Meinhardt-Reineke), and at level 1, with
+    q^(1/2) sent to -q^(1/2), its coefficients have one sign (Efimov)."""
+    gamma_bound = data.draw(st.integers(1, _BPS_GRADES[quiver.vertices]))
+    for ve in quiver_bps(quiver, 3, gamma_bound, 3).values():
+        assert all(_integral(v) for v in ve.levels)
+        twisted = {c.as_rational() * (-1) ** int(2 * e) for e, c in ve.get(1).num.items()}
+        assert all(c > 0 for c in twisted) or all(c < 0 for c in twisted)
+
+
+# the 0- to 3-loop quivers at grade bound 4 and the 2-vertex quivers with no
+# arrow and with one each way at grade bound 2, at levels 1-3: 78 values
+_INTEGRALITY_CORPUS = [(Quiver(1, [(0, 0, m)]), 4) for m in (0, 1, 2, 3)] + [
+    (Quiver(2, [(0, 1, c), (1, 0, c)]), 2) for c in (0, 1)]
+
+
+@pytest.mark.parametrize("bits, non_integral", [((1, 1), 0), ((0, 0), 18), ((1, 0), 2),
+                                                ((0, 1), 20)])
+def test_only_the_default_bits_are_integral(bits, non_integral):
+    values = [v for quiver, gamma_bound in _INTEGRALITY_CORPUS
+              for ve in quiver_bps(quiver, 3, gamma_bound, 3, HalfLConvention(*bits)).values()
+              for v in ve.levels]
+    assert len(values) == 78
+    assert sum(not _integral(v) for v in values) == non_integral
 
 
 def test_stacky_counting_function_unit_value():
