@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import ExactScalar, factor
+from .scalar import ExactScalar, Sums, factor, join, lift
 
 
 class LambdaRingError(Exception):
@@ -76,15 +76,19 @@ class VolumeElem:
 
 class CountingFunction:
     """Sparse map (monoid element, level) -> scalar with Frobenius support,
-    stored level by level: values[n] maps each element to its nonzero value."""
+    stored level by level: values[n] maps each element to its nonzero value.
+    One field per function: every value's form sits at field = (n, m), all
+    lifted when a value from a larger field is set, so the operations below
+    multiply and add forms with no lift, summed in place in a scalar.Sums."""
 
-    __slots__ = ("monoid", "grade_bound", "level_bound", "values")
+    __slots__ = ("monoid", "grade_bound", "level_bound", "values", "field")
 
     def __init__(self, monoid, grade_bound: int, level_bound: int, entries=None):
         self.monoid = monoid
         self.grade_bound = grade_bound
         self.level_bound = level_bound
         self.values: dict[int, dict] = {}
+        self.field = (1, 1)
         for x, n, v in entries or []:
             self.set(x, n, v)
 
@@ -123,20 +127,24 @@ class CountingFunction:
         if v.is_zero():
             self.values.get(n, {}).pop(x, None)
         else:
-            self.values.setdefault(n, {})[x] = v
+            field = join(self.field, v.field)
+            if field != self.field:
+                self.values, self.field = self._at(field), field
+            self.values.setdefault(n, {})[x] = lift(v, field)
 
-    def _accumulate(self, x, n, v):
-        """Add v to the value at (x, n), which the caller keeps within both
-        bounds."""
-        if v.is_zero():
-            return
-        level = self.values.setdefault(n, {})
-        s = level.get(x)
-        s = v if s is None else s + v
-        if s.is_zero():
-            del level[x]
-        else:
-            level[x] = s
+    def _at(self, field) -> dict:
+        """The values lifted to field, a multiple of this function's field."""
+        return self.values if field == self.field else {
+            n: {x: lift(v, field) for x, v in level.items()} for n, level in self.values.items()}
+
+    def _summed(self, field, terms) -> "CountingFunction":
+        """This empty function, filled by adding each term (n, x, v, w), v or v
+        * w, nonzero and at field, into the value at (x, n), in order."""
+        acc = Sums(field)
+        for n, x, v, w in terms:
+            acc.add(n, x, v, w)
+        self.values, self.field = acc.result(), field
+        return self
 
     # -- access ---------------------------------------------------------------
 
@@ -153,10 +161,9 @@ class CountingFunction:
     def restricted(self, grade_bound=None, level_bound=None) -> "CountingFunction":
         gb = self.grade_bound if grade_bound is None else min(self.grade_bound, grade_bound)
         nb = self.level_bound if level_bound is None else min(self.level_bound, level_bound)
-        out = CountingFunction(self.monoid, gb, nb)
-        for x, n, v in self.support():
-            if self.monoid.grade(x) <= gb and n <= nb:
-                out._accumulate(x, n, v)
+        out, grade = CountingFunction(self.monoid, gb, nb), self.monoid.grade
+        out.values, out.field = {n: {x: v for x, v in level.items() if grade(x) <= gb}
+                                 for n, level in self.values.items() if n <= nb}, self.field
         return out
 
     def agrees_with(self, other, grade_bound, level_bound) -> bool:
@@ -190,27 +197,25 @@ class CountingFunction:
 
     def __add__(self, other):
         self._check_compatible(other)
+        field = join(self.field, other.field)
         out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
-        for f in (self, other):
-            for x, n, v in f.support():
-                out._accumulate(x, n, v)
-        return out
+        return out._summed(field, ((n, x, v, None) for f in (self, other)
+                                   for n, level in f._at(field).items()
+                                   for x, v in level.items()))
 
     def __neg__(self):
-        out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
-        for x, n, v in self.support():
-            out._accumulate(x, n, -v)
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "CountingFunction":
         c = _coerce(c)
+        field = join(self.field, c.field)
         out = CountingFunction(self.monoid, self.grade_bound, self.level_bound)
-        for x, n, v in self.support():
-            out._accumulate(x, n, v * c)
-        return out
+        c = lift(c, field)
+        return out if c.is_zero() else out._summed(field, (
+            (n, x, v, c) for n, level in self._at(field).items() for x, v in level.items()))
 
     # -- serialization ----------------------------------------------------------
 
@@ -252,18 +257,21 @@ def convolve(f: CountingFunction, g: CountingFunction, caps=None) -> CountingFun
     level runs to the grade bound."""
     f._check_compatible(g)
     mon = f.monoid
+    field = join(f.field, g.field)
     out = CountingFunction(mon, f.grade_bound, f.level_bound)
-    for n, level in f.values.items():
+    gv, acc = g._at(field), Sums(field)
+    for n, level in f._at(field).items():
         bound = f.grade_bound if caps is None else caps.get(n)
         if bound is None:
             continue
-        ys = [(mon.grade(y), y, w) for y, w in g.values.get(n, {}).items()]
+        ys = [(mon.grade(y), y, w) for y, w in gv.get(n, {}).items()]
         within = [[(y, w) for gy, y, w in ys if gy <= b] for b in range(bound + 1)]
         for x, v in level.items():
             gx = mon.grade(x)
             if gx <= bound:
                 for y, w in within[bound - gx]:
-                    out._accumulate(mon.add(x, y), n, v * w)
+                    acc.add(n, mon.add(x, y), v, w)
+    out.values, out.field = acc.result(), field
     return out
 
 
@@ -281,11 +289,9 @@ def adams(f: CountingFunction, m: int) -> CountingFunction:
             f"psi_{m} needs level budget >= {m}, have {f.level_bound}"
         )
     out = CountingFunction(mon, f.grade_bound, n_out)
-    for n in range(1, n_out + 1):
-        for y, v in f.values.get(n * m, {}).items():
-            if m * mon.grade(y) <= f.grade_bound:
-                out._accumulate(mon.trace(y, n, m), n, v)
-    return out
+    return out._summed(f.field, ((n, mon.trace(y, n, m), v, None) for n in range(1, n_out + 1)
+                                 for y, v in f.values.get(n * m, {}).items()
+                                 if m * mon.grade(y) <= f.grade_bound))
 
 
 def _check_augmented_zero(f: CountingFunction):
@@ -331,18 +337,21 @@ def log_conv(big_f: CountingFunction, caps=None) -> CountingFunction:
     if caps is None:
         caps = dict.fromkeys(range(1, levels + 1), g)
     f = big_f - CountingFunction.unit(big_f.monoid, g, levels)
-    power = CountingFunction(big_f.monoid, g, levels)
+    power = CountingFunction(f.monoid, g, levels)
+    power.field = f.field
     for n in sorted(caps):
         power.values[n] = {y: w for y, w in f.values.get(n, {}).items()
                            if f.monoid.grade(y) <= caps[n]}
-    out = power.restricted()
-    for s in range(2, max(caps.values(), default=0) + 1):
-        caps = {n: c for n, c in caps.items() if c >= s}
-        power = convolve(power, f, caps)
-        c = ExactScalar.from_rational(Fraction((-1) ** (s - 1), s))
-        for x, n, v in power.support():
-            out._accumulate(x, n, v * c)
-    return out
+
+    def terms(power, caps):
+        yield from ((n, x, v, None) for x, n, v in power.support())
+        for s in range(2, max(caps.values(), default=0) + 1):
+            caps = {n: c for n, c in caps.items() if c >= s}
+            power = convolve(power, f, caps)
+            c = lift(ExactScalar.from_rational(Fraction((-1) ** (s - 1), s)), f.field)
+            yield from ((n, x, v, c) for x, n, v in power.support())
+
+    return CountingFunction(f.monoid, g, levels)._summed(f.field, terms(power, caps))
 
 
 def _plethystic_levels(f: CountingFunction) -> int:
@@ -430,8 +439,7 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
     n_out = _plethystic_levels(big_f)
     unit = CountingFunction.unit(mon, big_f.grade_bound, big_f.level_bound)
     f = big_f - unit
-    out = CountingFunction(mon, g, n_out)
-    coefs: dict = {}
+    acc, coefs = Sums(f.field), {}
     for n, m in _log_reads(g, big_f.level_bound):
         mu = mobius(m)
         pool = [
@@ -451,12 +459,14 @@ def log_direct(big_f: CountingFunction) -> CountingFunction:
                 term = prod * v
                 c = coefs.get((m, t, w))
                 if c is None:
-                    c = coefs[m, t, w] = ExactScalar.from_rational(
-                        Fraction((-1) ** (t - 1) * mu * w, m * t))
-                out._accumulate(nxt, n, term * c)
+                    c = coefs[m, t, w] = lift(ExactScalar.from_rational(
+                        Fraction((-1) ** (t - 1) * mu * w, m * t)), acc.field)
+                acc.add(n, nxt, term, c)
                 rec(i, k, nxt, budget - gy, term, t, w)
 
         rec(0, 0, None, g, ExactScalar.one(), 0, 1)
+    out = CountingFunction(mon, g, n_out)
+    out.values, out.field = acc.result(), acc.field
     return out
 
 
@@ -472,6 +482,4 @@ def pushforward(morphism, f: CountingFunction) -> CountingFunction:
     if f.monoid != morphism.source:
         raise MonoidMismatch("function does not live on the morphism source")
     out = CountingFunction(morphism.target, f.grade_bound, f.level_bound)
-    for x, n, v in f.support():
-        out._accumulate(morphism.map(x), n, v)
-    return out
+    return out._summed(f.field, ((n, morphism.map(x), v, None) for x, n, v in f.support()))

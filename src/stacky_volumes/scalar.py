@@ -146,8 +146,9 @@ def _zz_prsgcd(f: list[int], g: list[int]):
 # dicts {exponent k of t: nonzero coefficient} for sum c t^k / d, with one
 # positive integer d each, coprime to the content.  A coefficient is an int
 # when m = 1, else a dict {j: nonzero int} for sum c_j zeta_m^j over basis
-# roots.  Lifting to N or M multiplies keys by N/n or M/m, keeping their
-# order.  The kernel replays the dict path (tests/helpers.py): a key is
+# roots.  A form may sit at a non-least n and m (a counting function holds
+# all its values at one (n, m)).  Lifting to N or M multiplies keys by N/n or
+# M/m, keeping their order.  The kernel replays the dict path (tests/helpers.py): a key is
 # inserted when it first appears, updated in place, deleted when its sum
 # cancels and put back at the end if it returns, so keys and coefficient
 # terms come out in its order.
@@ -219,9 +220,14 @@ def _ring(m: int):
     return _ZZ if m == 1 else (partial(_vmul, m=m), _zz_add, lambda k: {0: k})
 
 
-def _rational(p: dict) -> bool:
+def _rational(p: dict, m: int) -> bool:
     """Whether every Z[zeta_m] coefficient of p is an integer."""
-    return all(len(c) == 1 and 0 in c for c in p.values())
+    return m == 1 or all(len(c) == 1 and 0 in c for c in p.values())
+
+
+def _ints(p: dict, m: int) -> dict:
+    """p over Z: its coefficients, integers of Z[zeta_m], as ints."""
+    return p if m == 1 else {e: c[0] for e, c in p.items()}
 
 
 def _reduced(p: dict, d: int, m: int):
@@ -243,26 +249,33 @@ def _lift(p: dict, a: int, b: int, m0: int) -> dict:
     return {k * a: {j * b: v for j, v in c.items()} for k, c in p.items()}
 
 
+def join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The least field (n, m) holding the fields a and b."""
+    return math.lcm(a[0], b[0]), math.lcm(a[1], b[1])
+
+
+def lift(x: "ExactScalar", field: tuple[int, int]) -> "ExactScalar":
+    """x with its form at field = (n, m), multiples of x's own n and m."""
+    if x._n == field[0] and x._m == field[1]:
+        return x
+    (n, m), m0 = field, x._m
+    a, b = n // x._n, m // m0
+    den = _lift(x._den, a, b, m0) if len(x._den) > 1 else _ZZ_ONE if m == 1 else _CYC_ZZ_ONE
+    return _new((n, m, _lift(x._num, a, b, m0), x._nd, den, x._dd))
+
+
 def _lifted(x: "ExactScalar", y: "ExactScalar"):
     """[n, m, x num, x den, y num, y den] over the lcm of their n and m."""
-    if x._n == y._n and x._m == y._m:
-        return x._n, x._m, x._num, x._den, y._num, y._den
-    n, m = math.lcm(x._n, y._n), math.lcm(x._m, y._m)
-    out = [n, m]
-    for s in (x, y):
-        a, b = n // s._n, m // s._m
-        out += [_lift(s._num, a, b, s._m), _lift(s._den, a, b, s._m) if len(s._den) > 1
-                else _ZZ_ONE if m == 1 else _CYC_ZZ_ONE]
-    return out
+    if x._n != y._n or x._m != y._m:
+        field = join(x.field, y.field)
+        x, y = lift(x, field), lift(y, field)
+    return x._n, x._m, x._num, x._den, y._num, y._den
 
 
 def _laurent(n: int, m: int, num: dict, d: int):
-    """The form of the Laurent polynomial num / d, with m = 1 when every
-    coefficient is an integer."""
+    """The form of the Laurent polynomial num / d, kept at (n, m)."""
     if d > 1:
         num, d = _reduced(num, d, m)
-    if m > 1 and _rational(num):
-        num, m = {e: c[0] for e, c in num.items()}, 1
     return n, m, num, d, _ZZ_ONE if m == 1 else _CYC_ZZ_ONE, 1
 
 
@@ -360,16 +373,16 @@ def _normal(n: int, m: int, num: dict, nd: int, den: dict, dd: int):
         return _ZERO_FORM
     ring = _ring(m)
     if m > 1:
-        if not _rational(den):
+        if not _rational(den, m):
             conj = _conjugates({0: den[min(den)]}, m)
-            if _rational(d := _zz_mul(den, conj, ring)):
+            if _rational(d := _zz_mul(den, conj, ring), m):
                 n, k, num, nd, den, dd = _normal(n, m, num, nd, d, dd)
                 return _normal(n, m, _zz_mul(_lift(num, 1, m // k, k), conj, ring), nd,
                                _lift(den, 1, m // k, k), dd)
             num, den = _zz_mul(num, conj := _conjugates(den, m), ring), _zz_mul(den, conj, ring)
-        den = {e: c[0] for e, c in den.items()}
-        if _rational(num):
-            num, m, ring = {e: c[0] for e, c in num.items()}, 1, _ZZ
+        den = _ints(den, m)
+        if _rational(num, m):
+            num, m, ring = _ints(num, m), 1, _ZZ
     if len(den) == 1:
         (vd, c), = den.items()
         s = Fraction(dd, nd * c)
@@ -418,6 +431,7 @@ class ExactScalar:
         return _ES_ONE
 
     num = property(lambda self: _coefficients(self._num, self._n, self._m, self._nd))
+    field = property(lambda self: (self._n, self._m))  # (n, m) of the form
     den = property(lambda self: _coefficients(self._den, self._n, self._m, self._dd))
 
     # -- ring/field structure ------------------------------------------------
@@ -546,13 +560,14 @@ class ExactScalar:
         return num / den
 
     def is_rational(self) -> bool:
-        """True when the value is a rational constant."""
-        return not self._num or (self._m == 1 and self.is_laurent() and list(self._num) == [0])
+        """True when the value is a rational constant, at any m."""
+        return not self._num or (self.is_laurent() and list(self._num) == [0]
+                                 and _rational(self._num, self._m))
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self._num.get(0, 0), self._nd)
+        return Fraction(sum(_ints(self._num, self._m).values()), self._nd)
 
     def is_laurent(self) -> bool:
         """True when the denominator is trivial (value is a q-Laurent polynomial)."""
@@ -606,6 +621,57 @@ def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
     return ExactScalar.from_rational(x) if isinstance(x, (int, Fraction)) else NotImplemented
+
+
+class Sums:
+    """Sums of scalars at one field (n, m), one per level and key, added in
+    place with the keys and forms of repeated +.  A Laurent sum is one
+    numerator over one integer denominator, each term a product on the
+    integer forms added in by _zz_add's insert/delete rule, and is reduced
+    once, in `result`.  A value added alone is kept, and copied when a second
+    term comes; a sum that meets a denominator polynomial is summed by +."""
+
+    __slots__ = ("field", "ring", "levels")
+
+    def __init__(self, field: tuple[int, int]):
+        self.field, self.ring, self.levels = field, _ring(field[1]), {}
+
+    def add(self, level, key, v: ExactScalar, w: ExactScalar | None = None):
+        """Add v, or v * w, into the sum at (level, key); both at this field."""
+        levels, ring = self.levels, self.ring
+        slots = levels[level] if level in levels else levels.setdefault(level, {})
+        s = slots.get(key)
+        if s is None and w is None:
+            slots[key] = v
+        elif (len(v._den) > 1 or w is not None and len(w._den) > 1
+              or type(s) is ExactScalar and len(s._den) > 1):
+            t = v if w is None else v * w
+            t = t if s is None else self._value(s) + t
+            if t.is_zero():
+                del slots[key]
+            else:
+                slots[key] = lift(t, self.field)
+        else:
+            num, d = (v._num, v._nd) if w is None else (_zz_mul(v._num, w._num, ring), v._nd * w._nd)
+            if s is None:
+                slots[key] = [num, d]
+                return
+            if type(s) is ExactScalar:
+                s = slots[key] = [dict(s._num), s._nd]
+            if s[1] != d:
+                k = math.lcm(s[1], d)
+                s[0], num, s[1] = _scaled(s[0], k // s[1], ring), _scaled(num, k // d, ring), k
+            if not _zz_add(s[0], num, ring, False):
+                del slots[key]
+
+    def _value(self, s) -> ExactScalar:
+        return s if type(s) is ExactScalar else _new(_laurent(*self.field, *s))
+
+    def result(self) -> dict:
+        """{level: {key: its nonzero sum at this field}}, each in the order
+        of its first term."""
+        value = self._value
+        return {n: {x: value(s) for x, s in slots.items()} for n, slots in self.levels.items()}
 
 
 # Output of the integer form: q-exponents k / n, basis roots zeta^(j/m) and
@@ -715,9 +781,9 @@ def half_l_adams(x: ExactScalar, n: int, conv: HalfLConvention = DEFAULT_CONVENT
     rational function of q^(1/2) over Q.  It maps each term to one term in
     the same place and, as an injective ring map, keeps num and den coprime:
     the form stays normal, term order included."""
-    a, s = x._n, _half_l_sign(n, conv)
-    if x._m > 1 or any(2 * k % a for p in (x._num, x._den) for k in p):
+    a, s, m = x._n, _half_l_sign(n, conv), x._m
+    if not _rational(x._num, m) or any(2 * k % a for p in (x._num, x._den) for k in p):
         raise ValueError(f"not a rational function of q^(1/2) over Q: {x}")
-    num, den = ({k * n: -c if s < 0 and 2 * k // a % 2 else c for k, c in p.items()}
+    num, den = ({k * n: -c if s < 0 and 2 * k // a % 2 else c for k, c in _ints(p, m).items()}
                 for p in (x._num, x._den))
     return _new((a, 1, num, x._nd, den, x._dd))

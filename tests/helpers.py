@@ -1,6 +1,8 @@
 """Shared test utilities: random scalars, random counting functions, the
 brute-force addition and trace fibres that define convolution and Adams
-operations, the all-pairs reference convolution, the convolution logarithm
+operations, sums taken one ExactScalar + at a time (the oracle for the
+in-place sums of the lambda-ring), the all-pairs reference convolution,
+Adams operation and pushforward, the convolution logarithm
 from the unit, the plethystic logarithm from the full convolution logarithm
 and by the ordered-tuple Moebius sum,
 the independent truncated Euler-product oracle for quiver BPS invariants,
@@ -43,6 +45,7 @@ from stacky_volumes.scalar import (
     format_rat,
     half_l_level,
     half_l_power,
+    lift,
     q_power,
     root_of_unity,
 )
@@ -186,6 +189,12 @@ def random_scalar(rng, with_roots=False) -> ExactScalar:
     return out
 
 
+def galois_scalar(rng, b: int) -> ExactScalar:
+    """c q^(e/2) zeta_b^k for random c in 1..3, e in -2..2 and k in 1..b-1."""
+    return (q_power(Fraction(rng.randint(-2, 2), 2)) * rng.randint(1, 3)
+            * root_of_unity(Fraction(rng.randint(1, b - 1), b)))
+
+
 def random_fixed_element(monoid, rng, n, grade_bound):
     if isinstance(monoid, FreeOrbitMonoid):
         atoms = monoid.atoms(n, grade_bound)
@@ -240,6 +249,38 @@ def trace_fiber(monoid, x, n, m) -> list:
             if monoid.trace(y, n, m) == x]
 
 
+def scalar_accumulate(f: CountingFunction, x, n, v: ExactScalar):
+    """Add v to f's value at (x, n) by one ExactScalar + and CountingFunction.set:
+    a key is inserted when its sum first becomes nonzero, deleted when it
+    cancels and put back last if it returns.  The oracle for the in-place
+    sums of lambdaring, which must keep these keys and every value's form."""
+    s = f.values.get(n, {}).get(x)
+    f.set(x, n, v if s is None else s + v)
+
+
+class ScalarSums:
+    """scalar.Sums by one ExactScalar * and + per term, under
+    scalar_accumulate's insert/delete rule: put in its place, an operation
+    adds up the same terms in the same order one scalar at a time."""
+
+    def __init__(self, field):
+        self.field, self.levels = field, {}
+
+    def add(self, level, key, v, w=None):
+        t = v if w is None else v * w
+        sums = self.levels.setdefault(level, {})
+        s = sums.get(key)
+        s = t if s is None else s + t
+        if s.is_zero():
+            del sums[key]
+        else:
+            sums[key] = s
+
+    def result(self) -> dict:
+        return {n: {x: lift(s, self.field) for x, s in sums.items()}
+                for n, sums in self.levels.items()}
+
+
 def reference_convolve(f: CountingFunction, g: CountingFunction) -> CountingFunction:
     """Convolution by the all-pairs loop: every pair of same-level support
     elements in support order, skipping the pairs past the grade bound.
@@ -252,7 +293,16 @@ def reference_convolve(f: CountingFunction, g: CountingFunction) -> CountingFunc
     for x, n, v in f.support():
         for y, w in by_level.get(n, ()):
             if mon.grade(x) + mon.grade(y) <= f.grade_bound:
-                out._accumulate(mon.add(x, y), n, v * w)
+                scalar_accumulate(out, mon.add(x, y), n, v * w)
+    return out
+
+
+def reference_pushforward(morphism, f: CountingFunction) -> CountingFunction:
+    """The pushforward by the all-support loop: every support entry added to
+    the value at its image, in support order."""
+    out = CountingFunction(morphism.target, f.grade_bound, f.level_bound)
+    for x, n, v in f.support():
+        scalar_accumulate(out, morphism.map(x), n, v)
     return out
 
 
@@ -269,7 +319,7 @@ def reference_adams(f: CountingFunction, m: int) -> CountingFunction:
         n = lev // m
         x = mon.trace(y, n, m)
         if n <= n_out and mon.grade(x) <= f.grade_bound:
-            out._accumulate(x, n, v)
+            scalar_accumulate(out, x, n, v)
     return out
 
 
@@ -333,8 +383,8 @@ def reference_log_direct(big_f: CountingFunction) -> CountingFunction:
 
             def rec(trace_sum, budget, prod, s):
                 if s >= 1:
-                    out._accumulate(trace_sum, n,
-                                    prod * Fraction((-1) ** (s - 1) * mu, m * s))
+                    scalar_accumulate(out, trace_sum, n,
+                                      prod * Fraction((-1) ** (s - 1) * mu, m * s))
                 for tr, gy, v in pool:
                     if gy <= budget:
                         nxt = tr if trace_sum is None else mon.add(trace_sum, tr)

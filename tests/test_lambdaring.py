@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ScalarSums,
     add_fiber,
     ev,
+    galois_scalar,
     moebius_sum,
     point,
     pointwise_mul,
@@ -18,10 +21,12 @@ from helpers import (
     reference_log_conv,
     reference_log_direct,
     reference_pleth_log,
+    reference_pushforward,
     trace_fiber,
     view,
 )
 
+from stacky_volumes import lambdaring
 from stacky_volumes.lambdaring import (
     CountingFunction,
     MonoidMismatch,
@@ -193,12 +198,89 @@ def test_adams_and_pushforward_keep_support_order(mon):
         assert list(got.support()) == list(ref.support()), m
         assert _terms(got) == _terms(ref), m
     phi = GradingMorphism(mon)
-    ref = CountingFunction(phi.target, f.grade_bound, f.level_bound)
-    for x, n, v in f.support():
-        ref._accumulate(phi.map(x), n, v)
-    got = pushforward(phi, f)
+    got, ref = pushforward(phi, f), reference_pushforward(phi, f)
     assert list(got.support()) == list(ref.support())
     assert _terms(got) == _terms(ref)
+
+
+_MIXED_MONOIDS = {"free-orbit": FreeOrbitMonoid(affine_line_census(2, 3)),
+                  "lattice-2": DiscreteLattice(2)}
+
+
+def _galois_function(mon, rng, grade, level_bound, fractions):
+    """Values c q^(e/2) zeta_b^k, b cycling through 2, 3, 4, 6 as in the
+    lambda-galois benchmark, on about half of the nonzero fixed elements of
+    each level in shuffled order; with fractions, about one in six is
+    divided by q + 1 or q + 2, so that it is not a Laurent polynomial."""
+    f = CountingFunction(mon, grade, level_bound)
+    for n in range(1, level_bound + 1):
+        els = [x for x in mon.fixed_elements(n, grade) if mon.grade(x)]
+        rng.shuffle(els)
+        for i, x in enumerate(els):
+            if rng.random() < 0.5:
+                v = galois_scalar(rng, (2, 3, 4, 6)[i % 4])
+                if fractions and rng.random() < 1 / 6:
+                    v = v / (q_power(1) + rng.choice([1, 2]))
+                f.set(x, n, v)
+    return f
+
+
+def _mixed_cases(name, seed, fractions):
+    mon = _MIXED_MONOIDS[name]
+    rng = random.Random(seed)
+    grade, levels = 3, 2
+    f, g = (_galois_function(mon, rng, grade, grade * levels, fractions) for _ in range(2))
+    big = CountingFunction.unit(mon, grade, grade * levels) + f
+    return mon, grade, levels, f, g, big, log_demand(grade, grade * levels)
+
+
+def _log_direct_by_scalars(big):
+    with mock.patch.object(lambdaring, "Sums", ScalarSums):
+        return log_direct(big)
+
+
+@settings(max_examples=8)
+@given(name=st.sampled_from(sorted(_MIXED_MONOIDS)), seed=st.integers(0, 2**32 - 1),
+       fractions=st.booleans())
+def test_mixed_fields_match_the_one_scalar_at_a_time_sums(name, seed, fractions):
+    """On values from the fields Q(zeta_b)(q^(1/2)), b in 2, 3, 4, 6, with
+    and without values that are not Laurent polynomials, every operation
+    that adds in place keeps the support order and term order of its
+    oracle, which adds one ExactScalar at a time.  log_direct's oracle is
+    its own enumeration with ScalarSums in place of Sums; its values also
+    equal the ordered-tuple sum's."""
+    mon, grade, levels, f, g, big, caps = _mixed_cases(name, seed, fractions)
+    assert f.field == (2, 12)
+    phi = GradingMorphism(mon)
+    pairs = [(convolve(f, g), reference_convolve(f, g)),
+             (pushforward(phi, f), reference_pushforward(phi, f)),
+             (log_conv(big), reference_log_conv(big)),
+             (log_conv(big, caps), reference_log_conv(big, caps)),
+             (log_direct(big), _log_direct_by_scalars(big))]
+    pairs += [(adams(f, m), reference_adams(f, m)) for m in (2, 3)]
+    for got, ref in pairs:
+        assert list(got.support()) == list(ref.support())
+        assert _terms(got) == _terms(ref)
+    assert not pairs[4][0].differences(reference_log_direct(big), grade, levels)
+
+
+def _snapshot(f):
+    return [(x, n, *([(e, list(c.terms.items())) for e, c in p.items()] for p in view(v)))
+            for x, n, v in f.support()]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_operations_do_not_mutate_their_inputs(fractions):
+    """The in-place sums copy a value before adding into it: no operation,
+    f + f included, changes a value of its inputs."""
+    mon, grade, levels, f, g, big, caps = _mixed_cases("free-orbit", 40, fractions)
+    phi = GradingMorphism(mon)
+    before = [_snapshot(h) for h in (f, g, big)]
+    for op in (lambda: convolve(f, g), lambda: log_conv(big), lambda: log_conv(big, caps),
+               lambda: log_direct(big), lambda: pushforward(phi, f), lambda: adams(f, 2),
+               lambda: adams(f, 3), lambda: f + f, lambda: big + big):
+        op()
+        assert [_snapshot(h) for h in (f, g, big)] == before
 
 
 _LOG_MONOIDS = {

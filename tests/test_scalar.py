@@ -8,8 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ZERO, CycNumber, dict_fraction, dict_scalar, euclid_normalize, ev,
-                     form_scalar, padd, pmul, reference_arith, view)
+from helpers import (ZERO, CycNumber, ScalarSums, dict_fraction, dict_scalar, euclid_normalize,
+                     ev, form_scalar, galois_scalar, padd, pmul, reference_arith, view)
 
 from stacky_volumes import scalar
 from stacky_volumes.scalar import (
@@ -192,6 +192,61 @@ def test_half_l_adams_substitutes_the_level_n_half_lefschetz(bits):
     for bad in (q_power(F(1, 3)), root_of_unity(F(1, 3)) * t):
         with pytest.raises(ValueError):
             half_l_adams(bad, 2, conv)
+
+
+def test_rational_forms_at_a_larger_m_answer_like_their_least_form():
+    """A value over Q held at m = 12 (sums in a counting function keep its
+    field, and Laurent products no longer drop to m = 1) answers every query
+    as its m = 1 form does, half_l_adams included."""
+    t, z3, z4 = q_power(F(1, 2)), root_of_unity(F(1, 3)), root_of_unity(F(1, 4))
+    product = z3 * z4 * z3 * z3 * z4 ** 3 * F(-5, 6)
+    assert product._m == 12 and product == F(-5, 6)
+    values = [ExactScalar.from_rational(F(-5, 6)), ExactScalar.zero(), t * 4 - F(1, 3),
+              (t ** 3 * 2 - 1) / (t * 3 + t ** 4 - 5)]
+    for x, y in [(values[0], product)] + [(x, scalar.lift(x, (2, 12))) for x in values]:
+        assert y._m == 12 and y == x and x == y and hash(y) == hash(x)
+        assert str(y) == str(x) and y.to_json() == x.to_json()
+        assert (y.is_rational(), y.is_real()) == (x.is_rational(), x.is_real())
+        if x.is_rational():
+            assert y.as_rational() == x.as_rational()
+        else:
+            with pytest.raises(ValueError):
+                y.as_rational()
+        for n, bits in [(2, (1, 1)), (3, (0, 0)), (3, (1, 0))]:
+            want = half_l_adams(x, n, HalfLConvention(*bits))
+            got = half_l_adams(y, n, HalfLConvention(*bits))
+            assert got == want and str(got) == str(want) and got.to_json() == want.to_json()
+    with pytest.raises(ValueError):
+        half_l_adams(scalar.lift(z3 * t, (2, 12)), 2)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), fraction=st.booleans(),
+       adds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7),
+                               st.none() | st.integers(0, 7)), max_size=30))
+def test_sums_match_one_scalar_at_a_time(seed, fraction, adds):
+    """Sums adds products and values into its sums in place and reduces
+    each once; keys, and each sum's form with its term order, are those of
+    one ExactScalar * and + per term, also when a sum cancels and comes
+    back, and when a term is not a Laurent polynomial.  Key k sits on level
+    k % 2, pool entry k + 4 is minus entry k, and the fixed first adds cancel
+    sums and bring them back."""
+    rng = random.Random(seed)
+    pool = [galois_scalar(rng, b) * F(1, rng.randint(1, 3)) for b in (2, 3, 4, 6)]
+    if fraction:
+        pool[3] = pool[3] / (q_power(1) + 2)
+    field = (2, 12)
+    pool = [scalar.lift(v, field) for v in pool + [-v for v in pool]]
+    got, ref = scalar.Sums(field), ScalarSums(field)
+    for key, i, j in [(0, 0, None), (1, 1, None), (0, 4, None), (0, 1, None),
+                      (2, 0, 2), (2, 4, 2), (2, 3, None)] + adds:
+        for sums in (got, ref):
+            sums.add(key % 2, key, pool[i], None if j is None else pool[j])
+    got, ref = got.result(), ref.result()
+    assert [list(level) for level in got.values()] == [list(level) for level in ref.values()]
+    assert list(got) == list(ref)
+    assert ([_ordered_form(v) for level in got.values() for v in level.values()]
+            == [_ordered_form(v) for level in ref.values() for v in level.values()])
 
 
 def test_convention_bit_validation():
