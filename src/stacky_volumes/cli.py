@@ -81,17 +81,16 @@ _DELTA_BUDGET = 3 * 10**6
 # orbits mode 7 at 10 (2.1 s).  Refused: 13 at 1 level (7.0 s), 8 in orbits
 # mode (6.8 s).
 _PLID_BUDGET = 3 * 10**6
-# volume: 2 per fibre point, coordinate and group factor, then, per fibre
-# orbit and twist order r up to the larger of R and volume_fit's first
-# order, r^(k+l) candidate characters plus r^(k+1) prod gcd(d_i, r) twisted
-# points.  Admitted at the edge (q = 3): the (1, -1) quotient at R = 143
-# (0.26 s), torus rank 2 at R = 35 (0.5 s), torus and mu_2 at R = 105 (2.4 s,
-# mostly the candidate characters).  The twisted points are charged as if
-# each were divided by |Aut|, so a series now runs up to about 12x under its
-# charge.  Only the first rung of volume_fit's ladder is charged; a torus row
-# with a nonzero sum (weights (1, -2), or all 1), whose series has no
-# rational fit and would climb the whole ladder, is refused before any fibre
-# is enumerated.
+# volume, in measured us: 2 per fibre point, coordinate and group factor;
+# then, up to the larger of R and volume_fit's first order, 150 per
+# coefficient, 15 per twisted point and 7 per term a point puts into that
+# fit's printed numerator.  Admitted at the edge (q = 3): the (1, -1)
+# quotient at R = 620 (1.7 s), torus rank 2 at R = 82 (2.4 s), torus and
+# mu_2 at R = 507 (1.9 s), mu_2 alone at R = 17,390 (1.6 s).  Refused: mu_4095
+# at q = 4096, R = 2 (4.8 s, a fit of order 12,289).  Only the first rung of
+# volume_fit's ladder is charged; a torus row with a nonzero sum (weights
+# (1, -2), or all 1), whose series has no rational fit and would climb the
+# whole ladder, is refused before any fibre is enumerated.
 _VOLUME_BUDGET = 3 * 10**6
 # a decimal exponent past Python's int-string digit limit (4300) would make
 # Fraction build a number of that many digits
@@ -274,14 +273,14 @@ def _cmd_volume(params):
 
 def _volume_preflight(datum, order, steps):
     """Refuse, before the series, a job whose fibre (charged `steps`) and
-    twisted points up to the larger of R and volume_fit's first fitted order
-    cost more than _VOLUME_BUDGET."""
-    kl = datum.k + datum.l
-    orbits = len(datum.fiber_orbits())
-    first = st.volume_ladder(datum)[0][2]
+    series cost more than _VOLUME_BUDGET.  A twisted point is a character of
+    a fibre orbit's stabilizer; at order r it enters the coefficients of
+    T^(r + j delta) of the first fit's numerator, up to T^(delta D)."""
+    delta, big_d, first = st.volume_ladder(datum)[0]
+    supports = [supp for _, _, supp in datum.fiber_orbits()]
     for r in range(1, max(order, first) + 1):
-        torsion = math.prod(math.gcd(d, r) for d in datum.finite_orders)
-        steps += orbits * (r**kl + r ** (datum.k + 1) * torsion)
+        points = sum(st.character_count(datum, supp, r) for supp in supports)
+        steps += 150 + points * (15 + 7 * max(0, (delta * big_d - r) // delta + 1))
         if steps > _VOLUME_BUDGET:
             raise SchemaViolation(
                 f"the twisted-point series up to r = {r} is over the volume budget of"

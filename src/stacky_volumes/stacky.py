@@ -70,55 +70,43 @@ class NotGenericallyRepresentable(StackyError):
 # Small exact integer linear algebra.
 
 
-def smith_invariants(cols, rows: int):
-    """Diagonalize Z^rows / (span of the given columns) by integer row and
-    column operations.  Returns (free rank, diagonal factors > 1); any
-    diagonalization determines the cokernel group, which is all the callers
-    use (point counts and character enumeration are presentation-invariant).
-    """
-    if not cols:
-        return rows, []
-    mat = [[col[r] for col in cols] for r in range(rows)]
-    n_rows, n_cols = rows, len(cols)
+def smith_form(cols, rows: int):
+    """Diagonalize the rows x len(cols) matrix M with the given columns by
+    integer row and column operations, U·M·V = D.  Returns (free rank of
+    Z^rows / span(cols), its sorted diagonal factors > 1, the diagonal of D
+    in elimination order, U): U is unimodular, the row operations applied
+    to the identity, so psi·M = 0 mod r exactly when psi = phi·U with
+    phi·D = 0 mod r.  D need not be the normal form (2, 3 is not 1, 6)."""
+    n = len(cols)
+    # M with the identity appended, so that the row operations build U
+    mat = [[col[i] for col in cols] + [int(i == j) for j in range(rows)] for i in range(rows)]
     diag = []
-    r0 = 0
-    c0 = 0
-    while r0 < n_rows and c0 < n_cols:
-        piv = None
-        for i in range(r0, n_rows):
-            for j in range(c0, n_cols):
-                if mat[i][j] and (piv is None or abs(mat[i][j]) < abs(mat[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+    while len(diag) < min(rows, n):
+        t = len(diag)
+        nonzero = [(abs(mat[i][j]), i, j) for i in range(t, rows) for j in range(t, n) if mat[i][j]]
+        if not nonzero:
             break
-        i, j = piv
-        mat[r0], mat[i] = mat[i], mat[r0]
+        _, i, j = min(nonzero)  # the first least entry, row by row
+        mat[t], mat[i] = mat[i], mat[t]
         for row in mat:
-            row[c0], row[j] = row[j], row[c0]
-        p = mat[r0][c0]
-        dirty = False
-        for i in range(r0 + 1, n_rows):
-            if mat[i][c0]:
-                f = mat[i][c0] // p
-                for j in range(c0, n_cols):
-                    mat[i][j] -= f * mat[r0][j]
-                if mat[i][c0]:
-                    dirty = True
-        for j in range(c0 + 1, n_cols):
-            if mat[r0][j]:
-                f = mat[r0][j] // p
-                for i in range(r0, n_rows):
-                    mat[i][j] -= f * mat[i][c0]
-                if mat[r0][j]:
-                    dirty = True
-        if dirty:
-            continue
-        diag.append(abs(p))
-        r0 += 1
-        c0 += 1
-    free_rank = n_rows - len(diag)
-    finite = [d for d in diag if d > 1]
-    return free_rank, sorted(finite)
+            row[t], row[j] = row[j], row[t]
+        p = mat[t][t]
+        for i in range(t + 1, rows):
+            f = mat[i][t] // p
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[t])]
+        for j in range(t + 1, n):
+            f = mat[t][j] // p
+            for row in mat:
+                row[j] -= f * row[t]
+        if not any(mat[i][t] for i in range(t + 1, rows)) and not any(mat[t][t + 1:n]):
+            diag.append(abs(p))
+    return rows - len(diag), sorted(d for d in diag if d > 1), diag, [row[n:] for row in mat]
+
+
+def smith_invariants(cols, rows: int):
+    """(free rank, sorted diagonal factors > 1) of Z^rows / span(cols): the
+    diagonal of smith_form, without its U."""
+    return smith_form(cols, rows)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +240,7 @@ class ToricStackDatum:
         self.weights = [list(map(int, row)) for row in weights]
         self.q = q
         self._coefficients = []  # volume_series coefficients, r = 1, 2, ...
+        self._smith = {}  # support -> smith_form of its relation columns
         if len(self.weights) != self.k + self.l:
             raise ValueError("weight matrix must have torusRank + #finiteOrders rows")
         if any(len(row) != n for row in self.weights):
@@ -263,7 +252,7 @@ class ToricStackDatum:
         for d in self.finite_orders:
             if d < 1 or (q - 1) % d:
                 raise NonSplitFiniteGroup(f"order {d} does not divide q - 1 = {q - 1}")
-        free, finite = self._stab_invariants(frozenset(range(n)))
+        free, finite, _, _ = self._smith_form(frozenset(range(n)))
         if free or finite:
             raise NotGenericallyRepresentable(
                 "the generic point has a nontrivial stabilizer"
@@ -281,9 +270,11 @@ class ToricStackDatum:
         return cols
 
     # stabilizer of a point with the given support, as the cokernel of its
-    # relation columns
-    def _stab_invariants(self, support: frozenset):
-        return smith_invariants(self._relations(support), self.k + self.l)
+    # relation columns: their smith_form, computed once per support
+    def _smith_form(self, support: frozenset):
+        if support not in self._smith:
+            self._smith[support] = smith_form(self._relations(support), self.k + self.l)
+        return self._smith[support]
 
     def _in_fiber(self, support: frozenset) -> bool:
         if not support:
@@ -378,18 +369,25 @@ class InertiaPoint:
         )
 
 
+def character_count(datum: ToricStackDatum, support: frozenset, r: int) -> int:
+    """The number of homomorphisms mu_r -> Stab for a point with the given
+    support, prod gcd(d_i, r) * r^(free rank): its r-twisted points."""
+    free_rank, finite, _, _ = datum._smith_form(support)
+    return math.prod(math.gcd(d, r) for d in finite) * r**free_rank
+
+
 def _stab_homs(datum: ToricStackDatum, support: frozenset, r: int):
     """Homomorphisms mu_r -> Stab as character vectors psi in (Z/r)^(k+l)
-    vanishing on the relation columns (Cartier duality)."""
-    kl = datum.k + datum.l
-    if r**kl > 10**7:
-        raise StackyError(f"too many candidate characters at r = {r}")
-    cols = datum._relations(support)
-    out = []
-    for psi in itertools.product(range(r), repeat=kl):
-        if all(sum(p * c for p, c in zip(psi, col)) % r == 0 for col in cols):
-            out.append(psi)
-    return out
+    vanishing on the relation columns (Cartier duality), in increasing
+    order.  With U·M·V = D the support's smith_form, they are the phi·U mod
+    r with phi_i in (r / gcd(d_i, r))·Z/r below the rank of D and free above
+    it; phi -> phi·U is a bijection mod r, so none repeats."""
+    if character_count(datum, support, r) > 10**7:
+        raise StackyError(f"too many characters at r = {r}")
+    _, _, diag, u = datum._smith_form(support)
+    steps = [r // math.gcd(d, r) for d in diag] + [1] * (len(u) - len(diag))
+    return sorted(tuple(sum(p * row[j] for p, row in zip(phi, u)) % r for j in range(len(u)))
+                  for phi in itertools.product(*(range(0, r, s) for s in steps)))
 
 
 def _twist_weight(datum: ToricStackDatum, psi, r: int) -> Fraction:
@@ -410,7 +408,7 @@ def inertia_points(datum: ToricStackDatum, r: int):
         if supp not in cache:
             sectors = [(psi, r // math.gcd(r, *psi) if any(psi) else 1,
                         _twist_weight(datum, psi, r)) for psi in _stab_homs(datum, supp, r)]
-            cache[supp] = (*datum._stab_invariants(supp), sectors)
+            cache[supp] = (*datum._smith_form(supp)[:2], sectors)
         free_rank, finite, sectors = cache[supp]
         for psi, order, w in sectors:
             out.append(InertiaPoint(rep, psi, order, w, free_rank, finite, datum.q))
@@ -456,7 +454,7 @@ def volume_series(datum: ToricStackDatum, order: int = 12) -> Series:
 def _stabilizer_exponent(datum: ToricStackDatum) -> int:
     out = 1
     for _, _, supp in datum.fiber_orbits():
-        _, finite = datum._stab_invariants(supp)
+        _, finite, _, _ = datum._smith_form(supp)
         for f in finite:
             out = math.lcm(out, f)
     return out
@@ -487,7 +485,7 @@ def dm_orbifold_sum(datum: ToricStackDatum) -> ExactScalar:
     stabilizer on the fibre is finite: sum of q^{-w(y)} / |Aut(y)(F_q)|."""
     acc = ExactScalar.zero()
     for rep, _, supp in datum.fiber_orbits():
-        free_rank, finite = datum._stab_invariants(supp)
+        free_rank, finite, _, _ = datum._smith_form(supp)
         if free_rank:
             raise StackyError("fibre has a positive-dimensional stabilizer")
         exponent = math.lcm(1, *finite)

@@ -850,6 +850,15 @@ def reference_twist_weight(datum, psi, r: int) -> Fraction:
     return w
 
 
+def reference_stab_homs(datum, support, r: int) -> list:
+    """The characters psi in (Z/r)^(k+l) vanishing on the support's relation
+    columns, found by testing all r^(k+l) candidates in product order: the
+    oracle for `stacky._stab_homs`, which lists them from the Smith form."""
+    cols = datum._relations(support)
+    return [psi for psi in itertools.product(range(r), repeat=datum.k + datum.l)
+            if all(sum(p * c for p, c in zip(psi, col)) % r == 0 for col in cols)]
+
+
 def reference_volume_series(datum, order: int) -> Series:
     """The volume series summed point by point: q^{-w(y)} / |Aut(y)(F_q)|
     divided and added once per inertia point y, in the order inertia_points

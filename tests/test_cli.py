@@ -590,7 +590,8 @@ def test_bps_within_the_budget_runs(tmp_path):
     ("plid-check", {"gradeBound": 10**9}, "plid-check budget of 3,000,000"),
     ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [], "weights": [[1, -1]], "q": 3,
                 "R": 2000}, "volume budget of 3,000,000"),
-    # volume_fit's first ansatz has delta = 4095, so about 12,000 terms
+    # volume_fit's first ansatz has delta = 4095: 12,289 coefficients, 184,281
+    # twisted points and a printed numerator of degree 8,190 (4.8 s unrefused)
     ("volume", {"n": 1, "torusRank": 0, "finiteOrders": [4095], "weights": [[1]], "q": 4096,
                 "R": 2}, "volume budget of 3,000,000"),
     # 3^12 fibre points, under the library's cap of 2 * 10^6
@@ -627,6 +628,14 @@ def test_over_a_cost_budget_exits_2_within_a_second(tmp_path, capsys, command, p
     # refused while the limit side was a fitted series (0.8 s and 1.5 s then)
     ("plid-check", {"gradeBound": 7, "levelBound": 1, "q": 3}),
     ("plid-check", {"gradeBound": 8, "levelBound": 1, "q": 3}),
+    # refused while the volume budget charged r^(k+l) candidate characters
+    # per fibre orbit and twist order r
+    ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [], "weights": [[1, -1]], "q": 3,
+                "R": 144}),
+    ("volume", {"n": 3, "torusRank": 2, "finiteOrders": [], "weights": [[1, -1, 0], [0, 1, -1]],
+                "q": 3, "R": 36}),
+    ("volume", {"n": 2, "torusRank": 1, "finiteOrders": [2], "weights": [[1, -1], [1, 0]],
+                "q": 3, "R": 106}),
 ])
 def test_jobs_within_a_cost_budget_run(tmp_path, command, params):
     code, report = run_cli([command], tmp_path, params)

@@ -4,6 +4,7 @@ import signal
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from helpers import (
     projective_canon,
     projective_classes,
     reference_quiver_bps,
+    reference_stab_homs,
     reference_twist_weight,
     reference_volume_series,
     reference_weighted_inertia_coefficient,
@@ -52,6 +54,7 @@ from stacky_volumes.stacky import (
     orbifold_volume,
     plethystic_identity_residual,
     quiver_bps,
+    smith_form,
     smith_invariants,
     stacky_counting_function,
     volume_fit,
@@ -743,3 +746,36 @@ def test_twist_weight_matches_column_by_column_sum():
             for r in range(1, 13):
                 for psi in _stab_homs(datum, supp, r):
                     assert _twist_weight(datum, psi, r) == reference_twist_weight(datum, psi, r)
+
+
+@settings(max_examples=60)
+@given(datum=_admitted_volume_data(qs=(3, 4, 5, 7, 9, 13)))
+def test_stab_homs_from_the_smith_form_match_the_candidate_loop(datum):
+    """The characters listed from U equal the r^(k+l) candidate loop, order
+    included; U is unimodular, and U·M is D·V^-1: row i divisible by d_i,
+    zero past the rank."""
+    for supp in {supp for _, _, supp in datum.fiber_orbits()}:
+        cols = datum._relations(supp)
+        _, _, diag, u = smith_form(cols, datum.k + datum.l)
+        assert sympy.Matrix(u).det() in (1, -1)
+        for i, row in enumerate(u):
+            d = diag[i] if i < len(diag) else 0
+            assert all(sum(a * c for a, c in zip(row, col)) % d == 0 if d
+                       else not sum(a * c for a, c in zip(row, col)) for col in cols)
+        for r in range(1, 13):
+            assert _stab_homs(datum, supp, r) == reference_stab_homs(datum, supp, r)
+
+
+def test_stab_homs_past_the_candidate_cap():
+    """Torus with mu_2 at r = 3,163, where r^(k+l) > 10^7 candidates: the
+    origin's r gcd(2, r) characters, sorted, each killing every relation
+    column mod r."""
+    datum, r = ToricStackDatum(2, 1, [2], [[1, -1], [1, 0]], 3), 3163
+    assert r ** (datum.k + datum.l) > 10**7
+    origin = frozenset()
+    homs = _stab_homs(datum, origin, r)
+    assert len(set(homs)) == len(homs) == r * math.gcd(2, r)
+    assert homs == sorted(homs)
+    for psi in homs:
+        assert all(sum(p * c for p, c in zip(psi, col)) % r == 0
+                   for col in datum._relations(origin))
